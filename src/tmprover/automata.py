@@ -59,10 +59,6 @@ class MultiTrackAutomaton:
     def num_symbols(self) -> int:
         return 1 << len(self.tracks)
 
-    @property
-    def deterministic(self) -> bool:
-        return True
-
     def track_index(self, name: str) -> int:
         try:
             return self.tracks.index(name)
@@ -74,37 +70,48 @@ class MultiTrackAutomaton:
                 f"states={self.num_states}, accepting={len(self.accepting)})")
 
 
-def _bfs_canonical(tracks, transitions, initial, accepting, zero_closed=True):
-    """Renumber states in BFS discovery order (symbols in increasing order).
+def _explore(tracks, start, successors, accept, zero_closed, state_cap):
+    """The machine reachable from ``start``, states numbered breadth first.
 
-    Unreachable states are dropped; the result is the canonical presentation
-    of the machine, identical for isomorphic inputs.
+    ``successors(key)`` yields one successor key per symbol, in increasing
+    symbol order, and ``accept(key)`` tells whether a key is accepting.
+    States are numbered in discovery order, so isomorphic inputs give
+    identical machines.  Discovering more than ``state_cap`` states raises
+    StateLimitError.
     """
-    order = {initial: 0}
-    queue = [initial]
-    while queue:
-        nxt = []
-        for q in queue:
-            for s in transitions[q]:
-                if s not in order:
-                    order[s] = len(order)
-                    nxt.append(s)
-        queue = nxt
-    new_trans = [None] * len(order)
-    for old, new in order.items():
-        new_trans[new] = tuple(order[t] for t in transitions[old])
-    new_accepting = frozenset(order[q] for q in accepting if q in order)
-    return MultiTrackAutomaton(tracks, new_trans, 0, new_accepting, zero_closed)
+    ids = {start: 0}
+    keys = [start]
+    trans = []
+    accepting = set()
+    for key in keys:  # keys grows as states are found: a FIFO worklist
+        row = []
+        for nxt in successors(key):
+            t = ids.get(nxt)
+            if t is None:
+                if len(keys) >= state_cap:
+                    raise StateLimitError(
+                        f"automaton construction exceeds cap {state_cap}")
+                t = ids[nxt] = len(keys)
+                keys.append(nxt)
+            row.append(t)
+        if accept(key):
+            accepting.add(len(trans))
+        trans.append(row)
+    return MultiTrackAutomaton(tracks, trans, 0, accepting, zero_closed)
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """Canonical minimal DFA via Moore partition refinement."""
-    trimmed = _bfs_canonical(a.tracks, a.transitions, a.initial, a.accepting,
-                             a.zero_closed)
-    n = trimmed.num_states
-    trans = trimmed.transitions
-    block = [1 if q in trimmed.accepting else 0 for q in range(n)]
-    n_blocks = 2 if trimmed.accepting and len(trimmed.accepting) < n else 1
+    """Canonical minimal DFA via Moore partition refinement.
+
+    Refinement runs over every state, reachable or not: unreachable states
+    cannot change the classes of reachable ones, and the final breadth-first
+    renumbering from the initial class keeps only the reachable classes.
+    Equal languages over equal tracks therefore give identical machines.
+    """
+    n = a.num_states
+    trans = a.transitions
+    block = [1 if q in a.accepting else 0 for q in range(n)]
+    n_blocks = 2 if a.accepting and len(a.accepting) < n else 1
     while True:
         sig_ids: dict[tuple, int] = {}
         new_block = [0] * n
@@ -121,9 +128,10 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         b = block[q]
         if rep_trans[b] is None:
             rep_trans[b] = tuple(block[t] for t in trans[q])
-    accepting = frozenset(block[q] for q in trimmed.accepting)
-    return _bfs_canonical(trimmed.tracks, rep_trans, block[trimmed.initial],
-                          accepting, trimmed.zero_closed)
+    accepting = {block[q] for q in a.accepting}
+    # There are only n_blocks classes, so this cap is never reached.
+    return _explore(a.tracks, block[a.initial], rep_trans.__getitem__,
+                    accepting.__contains__, a.zero_closed, n_blocks)
 
 
 def is_zero_closed(a: MultiTrackAutomaton) -> bool:
@@ -132,44 +140,39 @@ def is_zero_closed(a: MultiTrackAutomaton) -> bool:
                for q, row in enumerate(a.transitions))
 
 
+def _saturate(accepting, zero_successors) -> set:
+    """States from which all-zero symbols alone can reach ``accepting``;
+    ``zero_successors[q]`` lists the states q moves to on the zero symbol."""
+    saturated = set(accepting)
+    changed = True
+    while changed:
+        changed = False
+        for q, targets in enumerate(zero_successors):
+            if q not in saturated and any(t in saturated for t in targets):
+                saturated.add(q)
+                changed = True
+    return saturated
+
+
 def zero_close(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Closure of the language under the value semantics.
 
     Accepts a word iff some encoding of the same value tuple was accepted.
     Pairs the running state with the state reached after the last nonzero
     symbol; acceptance asks whether that anchor state can reach acceptance
-    by all-zero symbols alone.
+    by all-zero symbols alone.  More than DEFAULT_STATE_CAP pairs raise
+    StateLimitError.
     """
-    saturated = set(a.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q, row in enumerate(a.transitions):
-            if q not in saturated and row[0] in saturated:
-                saturated.add(q)
-                changed = True
-    pairs = {(a.initial, a.initial): 0}
-    trans = []
-    accepting = set()
-    queue = [(a.initial, a.initial)]
-    trans.append(None)
-    while queue:
-        cur, anchor = queue.pop()
-        idx = pairs[(cur, anchor)]
-        row = []
-        for sym in range(a.num_symbols):
-            nxt = a.transitions[cur][sym]
-            nanchor = anchor if sym == 0 else nxt
-            key = (nxt, nanchor)
-            if key not in pairs:
-                pairs[key] = len(pairs)
-                trans.append(None)
-                queue.append(key)
-            row.append(pairs[key])
-        trans[idx] = row
-        if anchor in saturated:
-            accepting.add(idx)
-    result = minimize(MultiTrackAutomaton(a.tracks, trans, 0, accepting, True))
+    saturated = _saturate(a.accepting, [(row[0],) for row in a.transitions])
+
+    def successors(key):
+        cur, anchor = key
+        row = a.transitions[cur]
+        return [(row[0], anchor)] + [(t, t) for t in row[1:]]
+
+    result = minimize(_explore(a.tracks, (a.initial, a.initial), successors,
+                               lambda key: key[1] in saturated, True,
+                               DEFAULT_STATE_CAP))
     assert is_zero_closed(result)
     return result
 
@@ -186,28 +189,11 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
         "iff": lambda x, y: x == y,
         "implies": lambda x, y: (not x) or y,
     }[op]
-    pairs = {(a.initial, b.initial): 0}
-    trans = [None]
-    accepting = set()
-    queue = [(a.initial, b.initial)]
-    while queue:
-        qa, qb = queue.pop()
-        idx = pairs[(qa, qb)]
-        row = []
-        for sym in range(a.num_symbols):
-            key = (a.transitions[qa][sym], b.transitions[qb][sym])
-            if key not in pairs:
-                if len(pairs) >= state_cap:
-                    raise StateLimitError(f"product exceeds cap {state_cap}")
-                pairs[key] = len(pairs)
-                trans.append(None)
-                queue.append(key)
-            row.append(pairs[key])
-        trans[idx] = row
-        if combine(qa in a.accepting, qb in b.accepting):
-            accepting.add(idx)
-    closed = a.zero_closed and b.zero_closed
-    return minimize(MultiTrackAutomaton(a.tracks, trans, 0, accepting, closed))
+    return minimize(_explore(
+        a.tracks, (a.initial, b.initial),
+        lambda key: zip(a.transitions[key[0]], b.transitions[key[1]]),
+        lambda key: combine(key[0] in a.accepting, key[1] in b.accepting),
+        a.zero_closed and b.zero_closed, state_cap))
 
 
 def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -222,32 +208,18 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return result
 
 
-def _determinize_sets(tracks, nfa_trans, initial_set, accepting,
-                      state_cap) -> MultiTrackAutomaton:
-    """Subset construction; the empty set acts as the (complete) sink."""
-    n_sym = 1 << len(tracks)
-    start = frozenset(initial_set)
-    ids = {start: 0}
-    trans = [None]
-    acc = set()
-    queue = [start]
-    while queue:
-        cur = queue.pop()
-        idx = ids[cur]
-        row = []
-        for sym in range(n_sym):
-            nxt = frozenset(t for q in cur for t in nfa_trans[q][sym])
-            if nxt not in ids:
-                if len(ids) >= state_cap:
-                    raise StateLimitError(f"determinization exceeds cap {state_cap}")
-                ids[nxt] = len(ids)
-                trans.append(None)
-                queue.append(nxt)
-            row.append(ids[nxt])
-        trans[idx] = row
-        if cur & accepting:
-            acc.add(idx)
-    return MultiTrackAutomaton(tracks, trans, 0, acc, False)
+def _determinize(tracks, nfa_trans, initial_set, accepting, zero_closed,
+                 state_cap) -> MultiTrackAutomaton:
+    """Subset construction, minimized; the empty set acts as the sink."""
+    symbols = range(1 << len(tracks))
+
+    def successors(cur):
+        return [frozenset(t for q in cur for t in nfa_trans[q][sym])
+                for sym in symbols]
+
+    return minimize(_explore(tracks, frozenset(initial_set), successors,
+                             lambda cur: not accepting.isdisjoint(cur),
+                             zero_closed, state_cap))
 
 
 def project(a: MultiTrackAutomaton, track: str,
@@ -257,7 +229,8 @@ def project(a: MultiTrackAutomaton, track: str,
     The track's digit component is erased (yielding a nondeterministic
     machine), acceptance is saturated backward along symbols whose remaining
     digits are all zero (the witness may need more digits than the other
-    tracks), and the result is determinized and minimized.
+    tracks), and the subset construction yields the canonical minimal
+    result.  More than ``state_cap`` subsets raise StateLimitError.
     """
     pos = a.track_index(track)
     rest = tuple(t for t in a.tracks if t != track)
@@ -270,32 +243,11 @@ def project(a: MultiTrackAutomaton, track: str,
             expanded = ((sym & low_mask) | ((sym & ~low_mask) << 1))
             new_row.append((row[expanded], row[expanded | (1 << pos)]))
         nfa_trans.append(new_row)
-    # Saturation: accept any state that reaches acceptance while the
-    # remaining tracks read only zeros.
-    saturated = set(a.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q, row in enumerate(nfa_trans):
-            if q not in saturated and (row[0][0] in saturated
-                                       or row[0][1] in saturated):
-                saturated.add(q)
-                changed = True
-    dfa = _determinize_sets(rest, nfa_trans, {a.initial}, saturated, state_cap)
-    result = minimize(MultiTrackAutomaton(dfa.tracks, dfa.transitions,
-                                          dfa.initial, dfa.accepting, True))
+    saturated = _saturate(a.accepting, [row[0] for row in nfa_trans])
+    result = _determinize(rest, nfa_trans, {a.initial}, saturated, True,
+                          state_cap)
     assert is_zero_closed(result)
     return result
-
-
-def determinize(a: MultiTrackAutomaton,
-                state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
-    """Subset construction; language-preserving canonicalization."""
-    singleton = [[(t,) for t in row] for row in a.transitions]
-    dfa = _determinize_sets(a.tracks, singleton, {a.initial}, set(a.accepting),
-                            state_cap)
-    return minimize(MultiTrackAutomaton(dfa.tracks, dfa.transitions, dfa.initial,
-                                        dfa.accepting, a.zero_closed))
 
 
 def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
@@ -347,17 +299,11 @@ def align_tracks(a: MultiTrackAutomaton, schema) -> MultiTrackAutomaton:
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
-    seen = {a.initial}
-    queue = [a.initial]
-    while queue:
-        q = queue.pop()
-        if q in a.accepting:
-            return False
-        for t in a.transitions[q]:
-            if t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return True
+    """No accepting state is reachable from the initial state."""
+    # A walk finds at most num_states states, so this cap is never reached.
+    return not _explore(a.tracks, a.initial, a.transitions.__getitem__,
+                        a.accepting.__contains__, a.zero_closed,
+                        a.num_states).accepting
 
 
 def is_universal(a: MultiTrackAutomaton) -> bool:
@@ -409,10 +355,8 @@ def run_reversed(a: MultiTrackAutomaton,
     for q, row in enumerate(a.transitions):
         for sym, t in enumerate(row):
             nfa_trans[t][sym].append(q)
-    dfa = _determinize_sets(a.tracks, nfa_trans, set(a.accepting), {a.initial},
-                            state_cap)
-    return minimize(MultiTrackAutomaton(dfa.tracks, dfa.transitions, dfa.initial,
-                                        dfa.accepting, False))
+    return _determinize(a.tracks, nfa_trans, a.accepting, {a.initial}, False,
+                        state_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,9 @@ def cmd_classify(args) -> int:
 
 
 def _route_values(n: int, reps, window: int):
-    f_routes = {"brute": core.f_brute(n, window)}
-    g_routes = {"brute": core.g_brute(n, window)}
+    counts = core.count_by_class(n, window)
+    f_routes = {"brute": counts.get(core.PatternClass.AB, 0)}
+    g_routes = {"brute": counts.get(core.PatternClass.ABBA, 0)}
     f_routes["linrep"] = linrep.evaluate(reps["mab"], n - 1)
     g_routes["linrep"] = linrep.evaluate(reps["mabba"], n - 1)
     if n >= 2:
@@ -316,10 +317,12 @@ def _selftest_counting(state_cap, dfao) -> list[str]:
     except (logic.ScriptError, linrep.NoncountableError) as exc:
         return [f"counting extraction failed: {exc}"]
     for n in range(1, 33):
-        if linrep.evaluate(reps["mab"], n - 1) != core.f_brute(n, 1 << 14):
-            failures.append(f"mab value differs from brute force at n={n}")
-        if linrep.evaluate(reps["mabba"], n - 1) != core.g_brute(n, 1 << 14):
-            failures.append(f"mabba value differs from brute force at n={n}")
+        counts = core.count_by_class(n, 1 << 14)
+        for name, cls in (("mab", core.PatternClass.AB),
+                          ("mabba", core.PatternClass.ABBA)):
+            if linrep.evaluate(reps[name], n - 1) != counts.get(cls, 0):
+                failures.append(
+                    f"{name} value differs from brute force at n={n}")
     r2 = linrep.from_recurrence_a006165()
     r4 = linrep.from_recurrence_a060973()
     if any(linrep.evaluate(r2, n) != core.a006165(n) for n in range(1, 65)):

@@ -247,16 +247,6 @@ def count_by_class(length: int, window: int = DEFAULT_WINDOW,
     return counts
 
 
-def f_brute(length: int, window: int = DEFAULT_WINDOW) -> int:
-    """Number of distinct length-n factors whose occurrences alternate A,B,A,B,..."""
-    return count_by_class(length, window).get(PatternClass.AB, 0)
-
-
-def g_brute(length: int, window: int = DEFAULT_WINDOW) -> int:
-    """Number of distinct length-n factors with occurrence pattern (ABBA)^omega."""
-    return count_by_class(length, window).get(PatternClass.ABBA, 0)
-
-
 @functools.lru_cache(maxsize=None)
 def a006165(n: int) -> int:
     """OEIS A006165 via its bisection recurrences, base a(1) = 1."""

@@ -25,15 +25,13 @@ class LinearRepresentation:
     """Row vector, two square digit matrices, column vector.
 
     ``msd_first`` records which end of the digit expansion is fed first
-    when valuing an integer.  ``counting`` marks representations whose
-    trailing-zero limit has been absorbed into ``w`` (see extract_counting).
+    when valuing an integer.
     """
 
     v: tuple
     gamma: tuple  # (matrix for digit 0, matrix for digit 1)
     w: tuple
     msd_first: bool = False
-    counting: bool = False
 
     @property
     def dim(self) -> int:
@@ -85,7 +83,7 @@ def counting_query(machine: MultiTrackAutomaton, counted: str,
                          TrackId(parameter, machine.track_index(parameter)))
 
 
-def _live_states(a: MultiTrackAutomaton):
+def _reachable(a: MultiTrackAutomaton) -> set:
     reach = {a.initial}
     stack = [a.initial]
     while stack:
@@ -93,6 +91,11 @@ def _live_states(a: MultiTrackAutomaton):
             if t not in reach:
                 reach.add(t)
                 stack.append(t)
+    return reach
+
+
+def _live_states(a: MultiTrackAutomaton, reachable: set):
+    """Sorted states that are reachable and can reach acceptance."""
     co = set(a.accepting)
     changed = True
     while changed:
@@ -101,11 +104,11 @@ def _live_states(a: MultiTrackAutomaton):
             if q not in co and any(t in co for t in a.transitions[q]):
                 co.add(q)
                 changed = True
-    return sorted(reach & co)
+    return sorted(reachable & co)
 
 
 def _check_countable(a: MultiTrackAutomaton, counted_pos: int,
-                     parameter_pos: int):
+                     reachable: set):
     """Reject queries where pumping zero parameter digits can grow the
     counted value without bound on a path to acceptance."""
     zero_syms = [b << counted_pos for b in (0, 1)]
@@ -126,13 +129,6 @@ def _check_countable(a: MultiTrackAutomaton, counted_pos: int,
                         nxt.add(t)
             frontier = nxt
         reach_zero[q] = seen
-    reachable = {a.initial}
-    stack = [a.initial]
-    while stack:
-        for t in a.transitions[stack.pop()]:
-            if t not in reachable:
-                reachable.add(t)
-                stack.append(t)
     accept_zero = {q for q in range(n)
                    if q in a.accepting or reach_zero[q] & a.accepting}
     one_sym = 1 << counted_pos
@@ -159,11 +155,11 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
     """
     a = query.automaton
     ci, pi = query.counted.index, query.parameter.index
-    _check_countable(a, ci, pi)
-    live = _live_states(a)
+    reachable = _reachable(a)
+    _check_countable(a, ci, reachable)
+    live = _live_states(a, reachable)
     if not live or a.initial not in live:
-        return LinearRepresentation((), ((), ()), (), msd_first=False,
-                                    counting=True)
+        return LinearRepresentation((), ((), ()), (), msd_first=False)
     index = {q: i for i, q in enumerate(live)}
     dim = len(live)
     gamma = []
@@ -186,8 +182,7 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
         w = nxt
     else:
         raise NoncountableError("gamma(0) limit of w failed to stabilize")
-    return LinearRepresentation(v, tuple(gamma), tuple(w), msd_first=False,
-                                counting=True)
+    return LinearRepresentation(v, tuple(gamma), tuple(w), msd_first=False)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +192,7 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
 def scale(rep: LinearRepresentation, factor) -> LinearRepresentation:
     factor = Fraction(factor)
     return LinearRepresentation(tuple(factor * x for x in rep.v), rep.gamma,
-                                rep.w, rep.msd_first, rep.counting)
+                                rep.w, rep.msd_first)
 
 
 def subtract(a: LinearRepresentation,
@@ -226,8 +221,7 @@ def reverse_rep(rep: LinearRepresentation) -> LinearRepresentation:
     gamma = tuple(tuple(tuple(rep.gamma[d][j][i] for j in range(dim))
                         for i in range(dim)) for d in (0, 1))
     return LinearRepresentation(rep.w, gamma, rep.v,
-                                msd_first=not rep.msd_first,
-                                counting=rep.counting)
+                                msd_first=not rep.msd_first)
 
 
 def _reduce_row(echelon, row):
@@ -277,8 +271,7 @@ def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
             queue.append(_mat_row(x, rep.gamma[1]))
     k = len(basis)
     if k == 0:
-        return LinearRepresentation((), ((), ()), (), rep.msd_first,
-                                    rep.counting)
+        return LinearRepresentation((), ((), ()), (), rep.msd_first)
     # Augmented echelon form solves "express target in the basis" exactly.
     solver = []
     for i, b in enumerate(basis):
@@ -299,7 +292,7 @@ def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
     new_v = coords(rep.v)
     new_w = tuple(sum(b[i] * rep.w[i] for i in range(dim)) for b in basis)
     return LinearRepresentation(new_v, tuple(new_gamma), new_w,
-                                rep.msd_first, rep.counting)
+                                rep.msd_first)
 
 
 def minimize_rep(rep: LinearRepresentation) -> LinearRepresentation:

@@ -160,14 +160,14 @@ def test_rename_swapping_tracks():
             assert au.accepts(swapped, [x, y]) == (y < x)
 
 
-def test_determinize_identity_language():
-    lt = au.base_lt()
-    assert au.equivalent(au.determinize(lt), lt)
-
-
-def test_state_cap_enforced():
+@pytest.mark.parametrize("construct", [
+    lambda: au.product(au.base_eq(), au.base_lt(), "and", state_cap=1),
+    lambda: au.project(au.base_add(), "z", state_cap=1),
+    lambda: au.run_reversed(au.base_lt(), state_cap=1),
+], ids=["product", "project", "run_reversed"])
+def test_state_cap_enforced(construct):
     with pytest.raises(au.StateLimitError):
-        au.product(au.base_eq(), au.base_lt(), "and", state_cap=1)
+        construct()
 
 
 def test_accepts_arity_checked():
@@ -247,16 +247,28 @@ def test_minimization_canonicity_randomized():
         identical = (a.transitions == b.transitions
                      and a.accepting == b.accepting)
         assert same == identical
-        # A state-shuffled clone must canonicalize to the identical machine.
+        # A state-shuffled clone must canonicalize to the identical machine,
+        # also when it carries unreachable states: a copy of a reachable
+        # state, and an accepting state whose zero symbol leads to a
+        # rejecting sink (a language no zero-closed state has).
         n = a.num_states
-        perm = list(range(n))
+        copied = rng.randrange(n)
+        copy, fresh, sink = n, n + 1, n + 2
+        trans = [list(row) for row in a.transitions]
+        trans.append(list(a.transitions[copied]))
+        trans.append([sink] + [fresh] * (a.num_symbols - 1))
+        trans.append([sink] * a.num_symbols)
+        accepting = set(a.accepting) | {fresh}
+        if copied in a.accepting:
+            accepting.add(copy)
+        perm = list(range(n + 3))
         rng.shuffle(perm)
-        shuffled_trans = [None] * n
-        for q in range(n):
-            shuffled_trans[perm[q]] = [perm[t] for t in a.transitions[q]]
+        shuffled_trans = [None] * (n + 3)
+        for q in range(n + 3):
+            shuffled_trans[perm[q]] = [perm[t] for t in trans[q]]
         clone = au.minimize(au.MultiTrackAutomaton(
             a.tracks, shuffled_trans, perm[a.initial],
-            {perm[q] for q in a.accepting}, True))
+            {perm[q] for q in accepting}, True))
         assert clone.transitions == a.transitions
         assert clone.accepting == a.accepting
 

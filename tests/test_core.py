@@ -15,9 +15,7 @@ from tmprover.core import (
     classify_factor,
     classify_pattern,
     count_by_class,
-    f_brute,
     f_closed,
-    g_brute,
     g_closed,
     generate_prefix,
     scan_occurrences,
@@ -187,9 +185,10 @@ def test_closed_forms_match_table():
 
 def test_four_routes_agree_up_to_64():
     for n in range(2, 65):
-        f = f_brute(n, window=1 << 15)
+        counts = count_by_class(n, window=1 << 15)
+        f = counts.get(PatternClass.AB, 0)
         assert f == f_closed(n) == 2 * a006165(n - 1), n
-        g = g_brute(n, window=1 << 15)
+        g = counts.get(PatternClass.ABBA, 0)
         assert g == a060973(n - 1), n
         if n >= 3:
             assert g == g_closed(n), n

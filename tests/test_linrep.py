@@ -111,11 +111,12 @@ def test_extraction_matches_tables(extracted):
 
 def test_extraction_matches_brute_counts_to_512(extracted):
     for n in range(513):
+        counts = core.count_by_class(n + 1, window=1 << 15)
         assert evaluate(extracted["mab"], n) == \
-            core.f_brute(n + 1, window=1 << 15), n
-    for n in range(257):
-        assert evaluate(extracted["mabba"], n) == \
-            core.g_brute(n + 1, window=1 << 15), n
+            counts.get(core.PatternClass.AB, 0), n
+        if n <= 256:
+            assert evaluate(extracted["mabba"], n) == \
+                counts.get(core.PatternClass.ABBA, 0), n
 
 
 def test_counting_rep_spot_values(extracted):
@@ -130,7 +131,7 @@ def test_stabilization_certificate(extracted):
         image = tuple(sum(rep.gamma[0][i][j] * rep.w[j] for j in range(dim))
                       for i in range(dim))
         assert image == rep.w
-        assert rep.counting and not rep.msd_first
+        assert not rep.msd_first
 
 
 def test_extraction_of_empty_automaton():
