@@ -36,14 +36,13 @@ class TrackId:
 class MultiTrackAutomaton:
     """Deterministic complete acceptor over tuples of binary digits."""
 
-    __slots__ = ("tracks", "transitions", "initial", "accepting", "zero_closed")
+    __slots__ = ("tracks", "transitions", "initial", "accepting")
 
-    def __init__(self, tracks, transitions, initial, accepting, zero_closed=True):
+    def __init__(self, tracks, transitions, initial, accepting):
         self.tracks = tuple(tracks)
         self.transitions = tuple(tuple(row) for row in transitions)
         self.initial = initial
         self.accepting = frozenset(accepting)
-        self.zero_closed = zero_closed
         if list(self.tracks) != sorted(self.tracks):
             raise TrackMismatchError(f"tracks must be sorted: {self.tracks}")
 
@@ -70,7 +69,7 @@ class MultiTrackAutomaton:
                 f"states={self.num_states}, accepting={len(self.accepting)})")
 
 
-def _explore(tracks, start, successors, accept, zero_closed, state_cap):
+def _explore(tracks, start, successors, accept, state_cap):
     """The machine reachable from ``start``, states numbered breadth first.
 
     ``successors(key)`` yields one successor key per symbol, in increasing
@@ -97,7 +96,7 @@ def _explore(tracks, start, successors, accept, zero_closed, state_cap):
         if accept(key):
             accepting.add(len(trans))
         trans.append(row)
-    return MultiTrackAutomaton(tracks, trans, 0, accepting, zero_closed)
+    return MultiTrackAutomaton(tracks, trans, 0, accepting)
 
 
 def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
@@ -131,7 +130,7 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     accepting = {block[q] for q in a.accepting}
     # There are only n_blocks classes, so this cap is never reached.
     return _explore(a.tracks, block[a.initial], rep_trans.__getitem__,
-                    accepting.__contains__, a.zero_closed, n_blocks)
+                    accepting.__contains__, n_blocks)
 
 
 def is_zero_closed(a: MultiTrackAutomaton) -> bool:
@@ -171,7 +170,7 @@ def zero_close(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         return [(row[0], anchor)] + [(t, t) for t in row[1:]]
 
     result = minimize(_explore(a.tracks, (a.initial, a.initial), successors,
-                               lambda key: key[1] in saturated, True,
+                               lambda key: key[1] in saturated,
                                DEFAULT_STATE_CAP))
     assert is_zero_closed(result)
     return result
@@ -193,22 +192,22 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
         a.tracks, (a.initial, b.initial),
         lambda key: zip(a.transitions[key[0]], b.transitions[key[1]]),
         lambda key: combine(key[0] in a.accepting, key[1] in b.accepting),
-        a.zero_closed and b.zero_closed, state_cap))
+        state_cap))
 
 
 def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     """Language complement; zero-closure is re-established if absent."""
-    if not a.zero_closed:
+    if not is_zero_closed(a):
         a = zero_close(a)
     flipped = MultiTrackAutomaton(
         a.tracks, a.transitions, a.initial,
-        frozenset(range(a.num_states)) - a.accepting, True)
+        frozenset(range(a.num_states)) - a.accepting)
     result = minimize(flipped)
     assert is_zero_closed(result)
     return result
 
 
-def _determinize(tracks, nfa_trans, initial_set, accepting, zero_closed,
+def _determinize(tracks, nfa_trans, initial_set, accepting,
                  state_cap) -> MultiTrackAutomaton:
     """Subset construction, minimized; the empty set acts as the sink."""
     symbols = range(1 << len(tracks))
@@ -219,7 +218,7 @@ def _determinize(tracks, nfa_trans, initial_set, accepting, zero_closed,
 
     return minimize(_explore(tracks, frozenset(initial_set), successors,
                              lambda cur: not accepting.isdisjoint(cur),
-                             zero_closed, state_cap))
+                             state_cap))
 
 
 def project(a: MultiTrackAutomaton, track: str,
@@ -244,10 +243,23 @@ def project(a: MultiTrackAutomaton, track: str,
             new_row.append((row[expanded], row[expanded | (1 << pos)]))
         nfa_trans.append(new_row)
     saturated = _saturate(a.accepting, [row[0] for row in nfa_trans])
-    result = _determinize(rest, nfa_trans, {a.initial}, saturated, True,
-                          state_cap)
+    result = _determinize(rest, nfa_trans, {a.initial}, saturated, state_cap)
     assert is_zero_closed(result)
     return result
+
+
+def _reindex(a: MultiTrackAutomaton, tracks, positions) -> MultiTrackAutomaton:
+    """``a`` read over ``tracks``, where old track i sits at new position
+    ``positions[i]``; new tracks no old track maps to are unconstrained."""
+    reads = []
+    for sym in range(1 << len(tracks)):
+        old = 0
+        for i, p in enumerate(positions):
+            if sym >> p & 1:
+                old |= 1 << i
+        reads.append(old)
+    trans = [[row[old] for old in reads] for row in a.transitions]
+    return MultiTrackAutomaton(tracks, trans, a.initial, a.accepting)
 
 
 def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
@@ -255,24 +267,8 @@ def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
     new_names = [mapping.get(t, t) for t in a.tracks]
     if len(set(new_names)) != len(new_names):
         raise TrackMismatchError(f"rename collides: {new_names}")
-    order = sorted(range(len(new_names)), key=lambda i: new_names[i])
-    new_pos = {old: new for new, old in enumerate(order)}
-    n_sym = a.num_symbols
-    perm = [0] * n_sym
-    for sym in range(n_sym):
-        out = 0
-        for i in range(len(new_names)):
-            if sym >> i & 1:
-                out |= 1 << new_pos[i]
-        perm[sym] = out
-    trans = []
-    for row in a.transitions:
-        new_row = [0] * n_sym
-        for sym in range(n_sym):
-            new_row[perm[sym]] = row[sym]
-        trans.append(new_row)
-    return MultiTrackAutomaton(sorted(new_names), trans, a.initial, a.accepting,
-                               a.zero_closed)
+    tracks = sorted(new_names)
+    return _reindex(a, tracks, [tracks.index(t) for t in new_names])
 
 
 def align_tracks(a: MultiTrackAutomaton, schema) -> MultiTrackAutomaton:
@@ -283,27 +279,14 @@ def align_tracks(a: MultiTrackAutomaton, schema) -> MultiTrackAutomaton:
         raise TrackMismatchError(f"schema {schema} lacks tracks {missing}")
     if schema == a.tracks:
         return a
-    positions = [schema.index(t) for t in a.tracks]
-    n_sym_new = 1 << len(schema)
-    extract = [0] * n_sym_new
-    for sym in range(n_sym_new):
-        out = 0
-        for i, p in enumerate(positions):
-            if sym >> p & 1:
-                out |= 1 << i
-        extract[sym] = out
-    trans = [tuple(row[extract[sym]] for sym in range(n_sym_new))
-             for row in a.transitions]
-    return MultiTrackAutomaton(schema, trans, a.initial, a.accepting,
-                               a.zero_closed)
+    return _reindex(a, schema, [schema.index(t) for t in a.tracks])
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
     """No accepting state is reachable from the initial state."""
     # A walk finds at most num_states states, so this cap is never reached.
     return not _explore(a.tracks, a.initial, a.transitions.__getitem__,
-                        a.accepting.__contains__, a.zero_closed,
-                        a.num_states).accepting
+                        a.accepting.__contains__, a.num_states).accepting
 
 
 def is_universal(a: MultiTrackAutomaton) -> bool:
@@ -355,7 +338,7 @@ def run_reversed(a: MultiTrackAutomaton,
     for q, row in enumerate(a.transitions):
         for sym, t in enumerate(row):
             nfa_trans[t][sym].append(q)
-    return _determinize(a.tracks, nfa_trans, a.accepting, {a.initial}, False,
+    return _determinize(a.tracks, nfa_trans, a.accepting, {a.initial},
                         state_cap)
 
 
@@ -381,7 +364,7 @@ def _build(tracks: dict, n_states: int, initial: int, accepting, step):
             digits = {role: (sym >> pos) & 1 for role, pos in positions.items()}
             row.append(step(q, digits))
         trans.append(row)
-    return minimize(MultiTrackAutomaton(names, trans, initial, accepting, True))
+    return minimize(MultiTrackAutomaton(names, trans, initial, accepting))
 
 
 _CMP_ACCEPT = {
@@ -444,13 +427,13 @@ def constant(value: int, track: str) -> MultiTrackAutomaton:
 def universal(tracks=()) -> MultiTrackAutomaton:
     names = tuple(sorted(tracks))
     n_sym = 1 << len(names)
-    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, {0}, True)
+    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, {0})
 
 
 def empty(tracks=()) -> MultiTrackAutomaton:
     names = tuple(sorted(tracks))
     n_sym = 1 << len(names)
-    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, set(), True)
+    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, set())
 
 
 def base_eq() -> MultiTrackAutomaton:

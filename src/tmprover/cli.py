@@ -112,9 +112,9 @@ def cmd_prove(args) -> int:
         if have != want:
             ok = False
             print(f"MISMATCH {name}: expected {want}, got {have}")
-    report.overall = "pass" if ok else "fail"
-    pairs["overall"] = report.overall
-    print(f"overall: {report.overall}")
+    overall = "pass" if ok else "fail"
+    pairs["overall"] = overall
+    print(f"overall: {overall}")
     _emit_machine(pairs, args.out)
     return 0 if ok else 1
 
@@ -159,7 +159,11 @@ def cmd_classify(args) -> int:
         pairs["overall"] = "pass"
         _emit_machine(pairs, args.out)
         return 0
-    machines = _pattern_machines(args.state_cap)
+    try:
+        machines = _pattern_machines(args.state_cap)
+    except logic.ScriptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     hits = [name for name in PATTERN_NAMES
             if au.accepts(machines[name], [args.start, args.length])]
     if len(hits) != 1:
@@ -184,8 +188,8 @@ def cmd_classify(args) -> int:
 # count
 
 
-def _route_values(n: int, reps, window: int):
-    counts = core.count_by_class(n, window)
+def _route_values(n: int, reps, window: int, min_occ: int):
+    counts = core.count_by_class(n, window, min_occ)
     f_routes = {"brute": counts.get(core.PatternClass.AB, 0)}
     g_routes = {"brute": counts.get(core.PatternClass.ABBA, 0)}
     f_routes["linrep"] = linrep.evaluate(reps["mab"], n - 1)
@@ -217,7 +221,7 @@ def cmd_count(args) -> int:
     header = f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"
     print(header)
     for n in range(1, args.n_max + 1):
-        f_routes, g_routes = _route_values(n, reps, window)
+        f_routes, g_routes = _route_values(n, reps, window, args.min_occ)
         f_vals, g_vals = set(f_routes.values()), set(g_routes.values())
         flag = "" if len(f_vals) == 1 and len(g_vals) == 1 else "  MISMATCH"
         if flag:
@@ -242,7 +246,11 @@ def cmd_count(args) -> int:
 
 
 def cmd_export(args) -> int:
-    machines = _pattern_machines(args.state_cap)
+    try:
+        machines = _pattern_machines(args.state_cap)
+    except logic.ScriptError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     dot = au.export_dot(machines[args.pattern], args.digit_order)
     if args.out:
         with open(args.out, "w") as fh:
@@ -270,7 +278,7 @@ def _selftest_algebra(rng) -> list[str]:
         trans = [[rng.randrange(n) for _ in range(4)] for _ in range(n)]
         accepting = {q for q in range(n) if rng.random() < 0.4}
         a = au.zero_close(au.MultiTrackAutomaton(
-            ("x", "y"), trans, 0, accepting, zero_closed=False))
+            ("x", "y"), trans, 0, accepting))
         b = au.complement(a)
         if not au.is_empty(au.product(a, b, "and")):
             failures.append(f"algebra trial {trial}: a & ~a nonempty")
@@ -411,7 +419,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.min_occ < 4:
+        parser.error("--min-occ must be at least 4")
     return args.func(args)
 
 

@@ -260,30 +260,23 @@ def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
     dim = rep.dim
     if dim == 0:
         return rep
-    basis = []
     echelon = []
     queue = [tuple(Fraction(x) for x in rep.v)]
     while queue:
         x = queue.pop()
         if _insert_row(echelon, _reduce_row(echelon, x)):
-            basis.append(x)
             queue.append(_mat_row(x, rep.gamma[0]))
             queue.append(_mat_row(x, rep.gamma[1]))
-    k = len(basis)
-    if k == 0:
+    if not echelon:
         return LinearRepresentation((), ((), ()), (), rep.msd_first)
-    # Augmented echelon form solves "express target in the basis" exactly.
-    solver = []
-    for i, b in enumerate(basis):
-        row = list(b) + [0] * k
-        row[dim + i] = 1
-        _insert_row(solver, _reduce_row(solver, row))
+    # The echelon rows span the same space and stay fully reduced with unit
+    # pivots, so a vector's coordinates are its entries at the pivots.
+    basis = [vec for _, vec in echelon]
 
     def coords(target):
-        out = _reduce_row(solver, list(target) + [0] * k)
-        if any(out[:dim]):
+        if any(_reduce_row(echelon, target)):
             raise AssertionError("closure failure: vector outside span")
-        return tuple(-x for x in out[dim:])
+        return tuple(target[p] for p, _ in echelon)
 
     new_gamma = []
     for d in (0, 1):

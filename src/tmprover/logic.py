@@ -488,12 +488,6 @@ class PredicateEnv:
             raise CompileError(f"unknown predicate {name!r}")
         return self._defs[name]
 
-    def __contains__(self, name):
-        return name in self._defs
-
-    def names(self):
-        return list(self._defs)
-
 
 class Compiler:
     def __init__(self, env: PredicateEnv | None = None, dfao: au.Dfao | None = None,
@@ -507,81 +501,73 @@ class Compiler:
         self._fresh_counter += 1
         return f"{_FRESH_PREFIX}{self._fresh_counter}"
 
-    def _conjoin(self, machines):
-        schema = sorted(set().union(*(m.tracks for m in machines)))
-        result = au.align_tracks(machines[0], schema)
-        for m in machines[1:]:
-            result = au.product(result, au.align_tracks(m, schema), "and",
-                                self.state_cap)
-        return result
-
-    def _project_all(self, machine, names):
-        for name in sorted(names, reverse=True):
-            if name in machine.tracks:
-                machine = au.project(machine, name, self.state_cap)
-        return machine
-
-    def _flatten(self, term, constraints, fresh):
-        """Reduce a term to a single variable, emitting adder/constant
-        constraints on fresh tracks for sums and numerals."""
+    def _name(self, term, defs) -> str:
+        """The track holding ``term``.  A sum or a numeral gets a fresh
+        track, appended to ``defs`` with the machine that defines it."""
         if isinstance(term, Var):
             return term.name
         if isinstance(term, Const):
             v = self._fresh()
-            fresh.add(v)
-            constraints.append(au.constant(term.value, v))
+            defs.append((v, au.constant(term.value, v)))
             return v
         if isinstance(term, Sum):
-            a = self._flatten(term.left, constraints, fresh)
-            b = self._flatten(term.right, constraints, fresh)
+            a = self._name(term.left, defs)
+            b = self._name(term.right, defs)
             if a == b:
-                dup = self._fresh()
-                fresh.add(dup)
-                constraints.append(au.comparison(a, dup, "="))
-                b = dup
+                b = self._copy(b, defs)
             out = self._fresh()
-            fresh.add(out)
-            constraints.append(au.adder(a, b, out))
+            defs.append((out, au.adder(a, b, out)))
             return out
         raise CompileError(f"not a term: {term!r}")
 
-    def _finish(self, core_machine, constraints, fresh):
-        machine = self._conjoin([core_machine] + constraints) if constraints \
-            else core_machine
-        return self._project_all(machine, fresh)
+    def _copy(self, track, defs) -> str:
+        """A fresh track tied equal to ``track``, for a machine that needs
+        the same value on two distinct tracks."""
+        v = self._fresh()
+        defs.append((v, au.comparison(v, track, "=")))
+        return v
+
+    def _bind(self, machine, defs):
+        """Conjoin each definition and project its fresh track at once,
+        latest first.  Exact: each fresh track is defined by one machine
+        and used only by entries created after it."""
+        for track, definition in reversed(defs):
+            machine = au.project(self._combine(machine, definition, "and"),
+                                 track, self.state_cap)
+        return machine
+
+    def _combine(self, left, right, op):
+        schema = sorted(set(left.tracks) | set(right.tracks))
+        return au.product(au.align_tracks(left, schema),
+                          au.align_tracks(right, schema), op, self.state_cap)
 
     def compile(self, f) -> au.MultiTrackAutomaton:
         """Compile to a canonical automaton on the formula's free variables
         (tracks sorted by name)."""
         if isinstance(f, Compare):
-            constraints, fresh = [], set()
-            a = self._flatten(f.left, constraints, fresh)
-            b = self._flatten(f.right, constraints, fresh)
+            defs = []
+            a = self._name(f.left, defs)
+            b = self._name(f.right, defs)
             if a == b:
                 core = (au.universal((a,)) if f.op in ("=", "<=", ">=")
                         else au.empty((a,)))
             else:
                 core = au.comparison(a, b, f.op)
-            return self._finish(core, constraints, fresh)
+            return self._bind(core, defs)
         if isinstance(f, SeqCompare):
-            constraints, fresh = [], set()
-            u = self._flatten(f.left, constraints, fresh)
+            defs = []
+            u = self._name(f.left, defs)
             if isinstance(f.right, int):
                 core = au.seq_const(self.dfao, u, f.right, f.op)
             else:
-                v = self._flatten(f.right, constraints, fresh)
-                core = au.seq_pair(self.dfao, u, v, f.op)
-            return self._finish(core, constraints, fresh)
+                core = au.seq_pair(self.dfao, u, self._name(f.right, defs), f.op)
+            return self._bind(core, defs)
         if isinstance(f, Not):
             return au.complement(self.compile(f.body))
         if isinstance(f, (And, Or, Implies, Iff)):
             op = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-            left = self.compile(f.left)
-            right = self.compile(f.right)
-            schema = sorted(set(left.tracks) | set(right.tracks))
-            return au.product(au.align_tracks(left, schema),
-                              au.align_tracks(right, schema), op,
-                              self.state_cap)
+            return self._combine(self.compile(f.left), self.compile(f.right),
+                                 op)
         if isinstance(f, Exists):
             body = self.compile(f.body)
             if f.var not in body.tracks:
@@ -603,38 +589,26 @@ class Compiler:
             raise CompileError(
                 f"{call.name!r} takes {len(params)} arguments "
                 f"({', '.join(params)}), got {len(call.args)}")
-        constraints, fresh = [], set()
+        defs = []
         mapping = {}
-        used_targets = set()
         for param, arg in zip(params, call.args):
-            if isinstance(arg, Var) and arg.name not in used_targets:
-                target = arg.name
-            else:
-                value = self._flatten(arg, constraints, fresh)
-                if value in fresh:
-                    target = value
-                else:  # duplicated plain variable: tie a fresh copy to it
-                    target = self._fresh()
-                    fresh.add(target)
-                    constraints.append(au.comparison(target, value, "="))
+            target = self._name(arg, defs)
+            if target in mapping.values():
+                target = self._copy(target, defs)
             mapping[param] = target
-            used_targets.add(target)
-        machine = au.rename_tracks(stored, mapping)
-        return self._finish(machine, constraints, fresh)
+        return self._bind(au.rename_tracks(stored, mapping), defs)
 
 
 def compile_formula(f, env=None, dfao=None,
                     state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
+    """Canonical automaton of ``f`` on exactly its free variables (tracks
+    sorted by name)."""
     if isinstance(f, str):
         f = parse_formula(f)
-    unbound = free_vars(f)
-    compiler = Compiler(env, dfao, state_cap)
-    machine = compiler.compile(f)
-    if set(machine.tracks) != unbound:
-        # Degenerate subformulas (x = x, quantified unused variables) can
-        # drop tracks; re-embed so tracks always equal the free variables.
-        machine = au.align_tracks(machine, sorted(unbound))
-    return machine
+    machine = Compiler(env, dfao, state_cap).compile(f)
+    # Degenerate subformulas (x = x, quantified unused variables) can drop
+    # tracks; re-embed so tracks always equal the free variables.
+    return au.align_tracks(machine, free_vars(f))
 
 
 def decide(f, env=None, dfao=None, state_cap=DEFAULT_STATE_CAP) -> bool:
@@ -653,20 +627,17 @@ def decide(f, env=None, dfao=None, state_cap=DEFAULT_STATE_CAP) -> bool:
 
 @dataclass
 class CommandResult:
-    source: str
     kind: str
     name: str
     verdict: str  # "TRUE" | "FALSE" | "n/a"
     states: int
     elapsed_ms: float
-    count_var: str | None = None
     automaton: au.MultiTrackAutomaton | None = None
 
 
 @dataclass
 class ProofReport:
     commands: list[CommandResult] = field(default_factory=list)
-    overall: str = "n/a"
 
     def verdicts(self) -> dict[str, str]:
         return {c.name: c.verdict for c in self.commands if c.kind != "def"}
@@ -683,16 +654,12 @@ def run_script(source: str, dfao=None,
     """Execute a script: defs populate the environment in order, evals are
     decided (or compiled, for the counting/free-variable forms)."""
     env = PredicateEnv()
-    compiler = Compiler(env, dfao, state_cap)
     report = ProofReport()
     for cmd in parse_script(source):
         start = time.perf_counter()
         try:
-            formula = parse_formula(cmd.formula_source)
-            params = tuple(sorted(free_vars(formula)))
-            machine = compiler.compile(formula)
-            if set(machine.tracks) != set(params):
-                machine = au.align_tracks(machine, params)
+            machine = compile_formula(cmd.formula_source, env, dfao, state_cap)
+            params = machine.tracks
             if cmd.kind == "def":
                 env.bind(cmd.name, params, machine)
                 verdict = "n/a"
@@ -716,7 +683,6 @@ def run_script(source: str, dfao=None,
                 f"{cmd.kind} {cmd.name} (line {cmd.line}): {exc}") from exc
         elapsed = (time.perf_counter() - start) * 1000.0
         report.commands.append(CommandResult(
-            source=cmd.formula_source, kind=cmd.kind, name=cmd.name,
-            verdict=verdict, states=machine.num_states, elapsed_ms=elapsed,
-            count_var=cmd.count_var, automaton=machine))
+            kind=cmd.kind, name=cmd.name, verdict=verdict,
+            states=machine.num_states, elapsed_ms=elapsed, automaton=machine))
     return report

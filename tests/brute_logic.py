@@ -7,7 +7,10 @@ positions are bounded by the window, which is ample for the argument
 ranges exercised in the tests.
 """
 
-from tmprover.core import generate_prefix
+import operator
+
+from tmprover import logic
+from tmprover.core import generate_prefix, tm_bit
 
 WINDOW = 1 << 10
 PREFIX = generate_prefix(WINDOW).bits
@@ -123,3 +126,56 @@ def baabpat(i, n):
     if n < 1:
         return False
     return (not abfirst(i, n)) and _triples_ok(_labels(i, n))
+
+
+# ---------------------------------------------------------------------------
+# Direct evaluation of formula syntax trees
+
+
+_RELATIONS = {"=": operator.eq, "!=": operator.ne, "<": operator.lt,
+              "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def term_value(term, values):
+    if isinstance(term, logic.Var):
+        return values[term.name]
+    if isinstance(term, logic.Const):
+        return term.value
+    return term_value(term.left, values) + term_value(term.right, values)
+
+
+def holds(f, values, predicates, bound):
+    """Truth of formula ``f`` with its free variables set by ``values``.
+
+    ``predicates`` maps a called name to a Python function of its argument
+    values.  Quantified variables range over [0, bound), which is exact when
+    every quantifier body confines its variable below ``bound``, as in
+    ``Ez (z<c & ...)`` and ``Az (z<c => ...)`` with c <= bound.
+    """
+    if isinstance(f, logic.Compare):
+        return _RELATIONS[f.op](term_value(f.left, values),
+                                term_value(f.right, values))
+    if isinstance(f, logic.SeqCompare):
+        left = tm_bit(term_value(f.left, values))
+        right = (f.right if isinstance(f.right, int)
+                 else tm_bit(term_value(f.right, values)))
+        return _RELATIONS[f.op](left, right)
+    if isinstance(f, logic.Call):
+        return predicates[f.name](*(term_value(t, values) for t in f.args))
+    if isinstance(f, logic.Not):
+        return not holds(f.body, values, predicates, bound)
+    if isinstance(f, (logic.And, logic.Or, logic.Implies, logic.Iff)):
+        left = holds(f.left, values, predicates, bound)
+        right = holds(f.right, values, predicates, bound)
+        if isinstance(f, logic.And):
+            return left and right
+        if isinstance(f, logic.Or):
+            return left or right
+        if isinstance(f, logic.Implies):
+            return not left or right
+        return left == right
+    if isinstance(f, (logic.Exists, logic.Forall)):
+        witnesses = (holds(f.body, {**values, f.var: v}, predicates, bound)
+                     for v in range(bound))
+        return any(witnesses) if isinstance(f, logic.Exists) else all(witnesses)
+    raise TypeError(f"not a formula: {f!r}")

@@ -153,7 +153,7 @@ def _random_machine(rng, tracks, max_states=5):
     trans = [[rng.randrange(n) for _ in range(n_sym)] for _ in range(n)]
     accepting = {q for q in range(n) if rng.random() < 0.4}
     return au.zero_close(au.MultiTrackAutomaton(
-        tuple(sorted(tracks)), trans, 0, accepting, zero_closed=False))
+        tuple(sorted(tracks)), trans, 0, accepting))
 
 
 def _exists_witness(machine, x, x_pos, y_pos):

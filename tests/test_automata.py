@@ -16,8 +16,7 @@ def random_machine(rng, tracks=("x",), max_states=5):
     n_sym = 1 << len(tracks)
     trans = [[rng.randrange(n) for _ in range(n_sym)] for _ in range(n)]
     accepting = {q for q in range(n) if rng.random() < 0.4}
-    raw = au.MultiTrackAutomaton(tuple(sorted(tracks)), trans, 0, accepting,
-                                 zero_closed=False)
+    raw = au.MultiTrackAutomaton(tuple(sorted(tracks)), trans, 0, accepting)
     return au.zero_close(raw)
 
 
@@ -178,7 +177,7 @@ def test_accepts_arity_checked():
 def test_zero_closed_everywhere():
     for m in (au.base_eq(), au.base_lt(), au.base_add(),
               au.project(au.base_add(), "z"), au.complement(au.base_lt())):
-        assert m.zero_closed and au.is_zero_closed(m)
+        assert au.is_zero_closed(m)
 
 
 def test_seq_pair_parity_semantics():
@@ -268,7 +267,7 @@ def test_minimization_canonicity_randomized():
             shuffled_trans[perm[q]] = [perm[t] for t in trans[q]]
         clone = au.minimize(au.MultiTrackAutomaton(
             a.tracks, shuffled_trans, perm[a.initial],
-            {perm[q] for q in accepting}, True))
+            {perm[q] for q in accepting}))
         assert clone.transitions == a.transitions
         assert clone.accepting == a.accepting
 

@@ -133,6 +133,28 @@ def test_count_reproduces_table(capsys):
     assert pairs["row.2.f.closed"] == "2"
 
 
+def test_classify_state_cap_is_usage_error(capsys):
+    assert run_cli("--state-cap", 5, "classify", 2, 3) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_count_applies_min_occ(capsys):
+    # A length-3 factor and its complement occur about 1365 times in 4096
+    # positions, fewer than 2000: the oracle classifies none of them, so
+    # the brute-force route reads 0 and disagrees with the others.
+    code = run_cli("--window", 4096, "--min-occ", 2000, "count", 3)
+    out = capsys.readouterr().out
+    assert code == 1
+    assert machine_section(out)["row.3.f.brute"] == "0"
+
+
+def test_min_occ_below_four_rejected(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("--min-occ", 3, "selftest")
+    assert exc.value.code == 2
+    assert "--min-occ" in capsys.readouterr().err
+
+
 def test_count_rejects_bad_bounds(capsys):
     assert run_cli("count", 1) == 2
     assert run_cli("count", 99999) == 2
@@ -155,6 +177,11 @@ def test_export_wellformed(capsys, pattern):
     assert out.startswith("digraph {")
     assert out.rstrip().endswith("}")
     assert "doublecircle" in out
+
+
+def test_export_state_cap_is_usage_error(capsys):
+    assert run_cli("--state-cap", 5, "export", "abpat") == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_export_lsd_and_msd_to_files(tmp_path, capsys):
