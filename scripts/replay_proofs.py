@@ -1,5 +1,8 @@
 #!/usr/bin/env python3
-"""Replay both proof scripts and print the per-command reports."""
+"""Replay the three shipped proof scripts and print the per-command reports.
+
+Exits 0 only if every script replays with all its expected verdicts.
+"""
 
 import pathlib
 import sys
@@ -13,7 +16,7 @@ FIXTURES = pathlib.Path(cli.__file__).parent / "fixtures"
 
 def main():
     status = 0
-    for name in ("paper_thm1", "paper_thm2"):
+    for name in ("paper_thm1", "paper_thm2", "paper_count"):
         print(f"=== {name} ===")
         code = cli.main(["prove", str(FIXTURES / f"{name}.wal"),
                          "--expected", str(FIXTURES / f"{name}.expected")])

@@ -139,14 +139,15 @@ def is_zero_closed(a: MultiTrackAutomaton) -> bool:
                for q, row in enumerate(a.transitions))
 
 
-def _saturate(accepting, zero_successors) -> set:
-    """States from which all-zero symbols alone can reach ``accepting``;
-    ``zero_successors[q]`` lists the states q moves to on the zero symbol."""
+def _saturate(accepting, successors) -> set:
+    """States from which the moves in ``successors`` can reach
+    ``accepting``; ``successors[q]`` lists the states q moves to (only on
+    the zero symbol, for zero-closure)."""
     saturated = set(accepting)
     changed = True
     while changed:
         changed = False
-        for q, targets in enumerate(zero_successors):
+        for q, targets in enumerate(successors):
             if q not in saturated and any(t in saturated for t in targets):
                 saturated.add(q)
                 changed = True

@@ -13,7 +13,8 @@ Subcommands:
   counting invariant suites.
 
 Exit codes: 0 success / all checks pass, 1 check failure or verdict
-mismatch, 2 script or usage error.  Machine-readable output is line
+mismatch, 2 usage, script or resource error (commands raise; ``main`` prints
+``error: ...`` and returns 2).  Machine-readable output is line
 oriented ``key=value``, sorted by key, and never contains timings, so
 identical inputs produce byte-identical output.
 """
@@ -43,7 +44,10 @@ def fixture_text(name: str) -> str:
             ).read_text()
 
 
-def _emit_machine(pairs, out=None):
+def _finish(pairs, ok: bool, out=None) -> int:
+    """Write the sorted ``key=value`` block, ``overall`` included; the exit
+    code is 0 if every check passed, else 1."""
+    pairs["overall"] = "pass" if ok else "fail"
     lines = [f"{key}={value}" for key, value in sorted(pairs.items())]
     text = "\n".join(lines) + "\n"
     if out:
@@ -51,6 +55,7 @@ def _emit_machine(pairs, out=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0 if ok else 1
 
 
 def _load_expectations(path: str) -> dict[str, str]:
@@ -89,13 +94,9 @@ def _counting_reps(state_cap: int, dfao=None):
 
 
 def cmd_prove(args) -> int:
-    try:
-        script = open(args.script).read()
-        expectations = _load_expectations(args.expected)
-        report = logic.run_script(script, state_cap=args.state_cap)
-    except (OSError, ValueError, logic.ScriptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    script = open(args.script).read()
+    expectations = _load_expectations(args.expected)
+    report = logic.run_script(script, state_cap=args.state_cap)
     pairs = {}
     ok = True
     for cmd in report.commands:
@@ -112,11 +113,8 @@ def cmd_prove(args) -> int:
         if have != want:
             ok = False
             print(f"MISMATCH {name}: expected {want}, got {have}")
-    overall = "pass" if ok else "fail"
-    pairs["overall"] = overall
-    print(f"overall: {overall}")
-    _emit_machine(pairs, args.out)
-    return 0 if ok else 1
+    print(f"overall: {'pass' if ok else 'fail'}")
+    return _finish(pairs, ok, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -124,18 +122,9 @@ def cmd_prove(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.length < 1:
-        print("error: factor length must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        prefix = core.generate_prefix(args.window)
-        occ = core.scan_occurrences(prefix,
-                                    core.FactorRef(args.start, args.length))
-        oracle = core.classify_pattern(occ, args.min_occ)
-    except (ValueError, core.ClassificationError,
-            core.ResourceLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    prefix = core.generate_prefix(args.window)
+    occ = core.scan_occurrences(prefix, core.FactorRef(args.start, args.length))
+    oracle = core.classify_pattern(occ, args.min_occ)
     pairs = {"oracle.class": oracle.value,
              "factor.start": args.start, "factor.length": args.length}
     first_a = next((p for p, lab in occ.entries if lab == "A"), None)
@@ -149,39 +138,25 @@ def cmd_classify(args) -> int:
     pairs["first.complement"] = first_b
     if oracle == core.PatternClass.INSUFFICIENT:
         print("error: window too small for classification", file=sys.stderr)
-        pairs["overall"] = "fail"
-        _emit_machine(pairs, args.out)
-        return 1
+        return _finish(pairs, False, args.out)
     if args.length < 2:
         print("automaton route: n < 2 unsupported (single symbols are "
               "Thue-Morse coded)")
         pairs["automaton.class"] = "unsupported"
-        pairs["overall"] = "pass"
-        _emit_machine(pairs, args.out)
-        return 0
-    try:
-        machines = _pattern_machines(args.state_cap)
-    except logic.ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _finish(pairs, True, args.out)
+    machines = _pattern_machines(args.state_cap)
     hits = [name for name in PATTERN_NAMES
             if au.accepts(machines[name], [args.start, args.length])]
     if len(hits) != 1:
         print(f"error: automaton route matched {hits!r}", file=sys.stderr)
-        pairs["overall"] = "fail"
-        _emit_machine(pairs, args.out)
-        return 1
+        return _finish(pairs, False, args.out)
     automaton_class = _PATTERN_TO_CLASS[hits[0]]
     print(f"automaton class: {automaton_class.value}")
     pairs["automaton.class"] = automaton_class.value
-    if automaton_class != oracle:
+    ok = automaton_class == oracle
+    if not ok:
         print("error: oracle and automaton disagree", file=sys.stderr)
-        pairs["overall"] = "fail"
-        _emit_machine(pairs, args.out)
-        return 1
-    pairs["overall"] = "pass"
-    _emit_machine(pairs, args.out)
-    return 0
+    return _finish(pairs, ok, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -205,16 +180,10 @@ def _route_values(n: int, reps, window: int, min_occ: int):
 
 def cmd_count(args) -> int:
     if args.n_max < 2:
-        print("error: need n_max >= 2", file=sys.stderr)
-        return 2
+        raise ValueError("need n_max >= 2")
     if args.n_max > 4096:
-        print("error: n_max exceeds the resource cap (4096)", file=sys.stderr)
-        return 2
-    try:
-        reps = _counting_reps(args.state_cap)
-    except (logic.ScriptError, linrep.NoncountableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise core.ResourceLimitError("n_max exceeds the resource cap (4096)")
+    reps = _counting_reps(args.state_cap)
     window = args.window
     pairs = {}
     ok = True
@@ -235,10 +204,8 @@ def cmd_count(args) -> int:
         for key, val in g_routes.items():
             pairs[f"row.{n}.g.{key}"] = val
         pairs[f"row.{n}.agree"] = "yes" if not flag else "no"
-    pairs["overall"] = "pass" if ok else "fail"
-    print(f"overall: {pairs['overall']}")
-    _emit_machine(pairs, args.out)
-    return 0 if ok else 1
+    print(f"overall: {'pass' if ok else 'fail'}")
+    return _finish(pairs, ok, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +213,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        machines = _pattern_machines(args.state_cap)
-    except logic.ScriptError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    machines = _pattern_machines(args.state_cap)
     dot = au.export_dot(machines[args.pattern], args.digit_order)
     if args.out:
         with open(args.out, "w") as fh:
@@ -289,10 +252,7 @@ def _selftest_algebra(rng) -> list[str]:
 
 def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     failures = []
-    try:
-        machines = _pattern_machines(state_cap, dfao)
-    except logic.ScriptError as exc:
-        return [f"pattern compilation failed: {exc}"]
+    machines = _pattern_machines(state_cap, dfao)
     for n in range(2, 7):
         try:
             classes = core.classify_all_factors(n, window, min_occ)
@@ -320,10 +280,7 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
 
 def _selftest_counting(state_cap, dfao) -> list[str]:
     failures = []
-    try:
-        reps = _counting_reps(state_cap, dfao)
-    except (logic.ScriptError, linrep.NoncountableError) as exc:
-        return [f"counting extraction failed: {exc}"]
+    reps = _counting_reps(state_cap, dfao)
     for n in range(1, 33):
         counts = core.count_by_class(n, 1 << 14)
         for name, cls in (("mab", core.PatternClass.AB),
@@ -423,7 +380,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.min_occ < 4:
         parser.error("--min-occ must be at least 4")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, logic.ScriptError, core.ClassificationError,
+            core.ResourceLimitError, linrep.NoncountableError,
+            au.StateLimitError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ DEFAULT_WINDOW = 1 << 17
 DEFAULT_MIN_OCCURRENCES = 8
 
 _COMPLEMENT = str.maketrans("01", "10")
-_LABEL_SWAP = str.maketrans("AB", "BA")
+_TO_LABELS = str.maketrans("01", "AB")
 
 
 class ClassificationError(Exception):
@@ -127,6 +127,7 @@ COMPLEMENT_CLASS = {
     PatternClass.BA: PatternClass.AB,
     PatternClass.ABBA: PatternClass.BAAB,
     PatternClass.BAAB: PatternClass.ABBA,
+    PatternClass.INSUFFICIENT: PatternClass.INSUFFICIENT,
 }
 
 PERIODIC_PATTERNS = ("AB", "BA", "ABBA", "BAAB")
@@ -201,39 +202,33 @@ def classify_all_factors(length: int, window: int = DEFAULT_WINDOW,
                          ) -> dict[str, PatternClass]:
     """Classes of every distinct length-n factor occurring in the window.
 
-    Single batch pass: every window position is an occurrence of exactly one
-    factor, so one sweep yields the complete occurrence list of every factor
-    at once.  Classifying a factor classifies its complement for free.
+    Single batch pass: every window position starts one member of a
+    complementary pair; the sweep files it under the pair's member that
+    starts with 0.  That member occurs exactly where the word reads 0, so
+    the pair's label word is the word itself at the pair's positions.
+    Classifying a factor classifies its complement for free.
     """
     if length < 1:
         raise ValueError("factor length must be >= 1")
     word = _cached_prefix(window).bits
     if length > window:
         raise ValueError("factor longer than window")
-    positions: dict[int, list[int]] = {}
     mask = (1 << length) - 1
-    cur = int(word[:length], 2)
-    positions.setdefault(cur, []).append(0)
-    for p in range(1, window - length + 1):
-        cur = ((cur << 1) | (word[p + length - 1] == "1")) & mask
-        positions.setdefault(cur, []).append(p)
+    top = length - 1
+    pairs: dict[int, list[int]] = {}
+    cur = int("0" + word[:top], 2)
+    for p in range(window - top):
+        cur = ((cur << 1) | (word[p + top] == "1")) & mask
+        pairs.setdefault(cur ^ mask if cur >> top else cur, []).append(p)
     out: dict[str, PatternClass] = {}
-    for enc, pos in positions.items():
-        text = format(enc, f"0{length}b")
-        if text in out:
-            continue
-        cenc = enc ^ mask
-        cpos = positions.get(cenc, [])
-        merged = sorted([(p, "A") for p in pos] + [(p, "B") for p in cpos])
-        labels = "".join(lab for _, lab in merged)
-        got = classify_labels(labels, [p for p, _ in merged], length,
-                              min_occurrences)
-        out[text] = got
-        if cenc in positions and cenc != enc:
-            out[format(cenc, f"0{length}b")] = (
-                COMPLEMENT_CLASS[got] if got in COMPLEMENT_CLASS
-                else PatternClass.INSUFFICIENT
-            )
+    for key, pos in pairs.items():
+        labels = "".join([word[p] for p in pos]).translate(_TO_LABELS)
+        got = classify_labels(labels, pos, length, min_occurrences)
+        x = format(key, f"0{length}b")
+        if "A" in labels:
+            out[x] = got
+        if "B" in labels:
+            out[x.translate(_COMPLEMENT)] = COMPLEMENT_CLASS[got]
     return out
 
 

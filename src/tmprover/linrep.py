@@ -13,7 +13,7 @@ import importlib.resources
 from dataclasses import dataclass
 from fractions import Fraction
 
-from tmprover.automata import MultiTrackAutomaton, TrackId
+from tmprover.automata import MultiTrackAutomaton, TrackId, _saturate
 
 
 class NoncountableError(Exception):
@@ -40,9 +40,7 @@ class LinearRepresentation:
     def word_value(self, digits):
         x = self.v
         for d in digits:
-            g = self.gamma[d]
-            x = tuple(sum(x[i] * g[i][j] for i in range(len(x)))
-                      for j in range(len(x)))
+            x = _mat_row(x, self.gamma[d])
         return sum(x[i] * self.w[i] for i in range(len(x)))
 
 
@@ -96,15 +94,7 @@ def _reachable(a: MultiTrackAutomaton) -> set:
 
 def _live_states(a: MultiTrackAutomaton, reachable: set):
     """Sorted states that are reachable and can reach acceptance."""
-    co = set(a.accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q in range(a.num_states):
-            if q not in co and any(t in co for t in a.transitions[q]):
-                co.add(q)
-                changed = True
-    return sorted(reachable & co)
+    return sorted(reachable & _saturate(a.accepting, a.transitions))
 
 
 def _check_countable(a: MultiTrackAutomaton, counted_pos: int,

@@ -655,7 +655,11 @@ def run_script(source: str, dfao=None,
     decided (or compiled, for the counting/free-variable forms)."""
     env = PredicateEnv()
     report = ProofReport()
-    for cmd in parse_script(source):
+    try:
+        commands = parse_script(source)
+    except ParseError as exc:
+        raise ScriptError(str(exc)) from exc
+    for cmd in commands:
         start = time.perf_counter()
         try:
             machine = compile_formula(cmd.formula_source, env, dfao, state_cap)
@@ -678,7 +682,7 @@ def run_script(source: str, dfao=None,
             else:
                 verdict = "TRUE" if not au.is_empty(machine) else "FALSE"
         except (ParseError, CompileError, au.StateLimitError,
-                au.TrackMismatchError) as exc:
+                au.TrackMismatchError, RecursionError) as exc:
             raise ScriptError(
                 f"{cmd.kind} {cmd.name} (line {cmd.line}): {exc}") from exc
         elapsed = (time.perf_counter() - start) * 1000.0

@@ -155,6 +155,38 @@ def test_min_occ_below_four_rejected(capsys):
     assert "--min-occ" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--window", 2, "count", 3),
+    ("--window", 0, "count", 3),
+    ("--window", -5, "count", 3),
+    ("--window", 3, "selftest"),
+    ("--state-cap", 5, "selftest"),
+], ids=["window-2-count", "window-0-count", "window-negative-count",
+        "window-3-selftest", "state-cap-selftest"])
+def test_resource_and_window_errors_exit_2(capsys, argv):
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source", [
+    'eval deep "Ex x = ' + "+".join(["1"] * 3000) + '":',
+    'eval deep "' + "(" * 3000 + "0=0" + ")" * 3000 + '":',
+    'eval deep "' + " & ".join(["0=0"] * 3000) + '":',
+    'check deep "0=0":',
+], ids=["deep-sum", "deep-parentheses", "deep-conjunction", "bad-keyword"])
+def test_script_failures_exit_2(tmp_path, capsys, source):
+    script = tmp_path / "script.wal"
+    script.write_text(source + "\n")
+    expected = tmp_path / "script.expected"
+    expected.write_text("deep=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(line 1" in err
+    assert "Traceback" not in err
+
+
 def test_count_rejects_bad_bounds(capsys):
     assert run_cli("count", 1) == 2
     assert run_cli("count", 99999) == 2

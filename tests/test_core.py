@@ -1,7 +1,7 @@
 """Tests for the brute-force Thue-Morse layer."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tmprover import core
@@ -139,6 +139,27 @@ def test_small_lengths_classify_everywhere(n):
     for cls in classes.values():
         assert cls in (PatternClass.AB, PatternClass.BA,
                        PatternClass.ABBA, PatternClass.BAAB)
+
+
+@given(st.integers(1, 24), st.sampled_from([16, 64, 1024, 4096]),
+       st.sampled_from([4, 8]))
+@settings(max_examples=200, deadline=None)
+def test_sweep_matches_per_factor_scan(length, window, min_occ):
+    """The one-pass sweep and the per-factor scan are two routes to the
+    same class: every factor in the window gets the same one from both."""
+    assume(length <= window)
+    try:
+        classes = core.classify_all_factors(length, window, min_occ)
+    except ClassificationError:
+        assume(False)
+    prefix = generate_prefix(window)
+    firsts = {}
+    for i in range(window - length + 1):
+        firsts.setdefault(prefix.factor(i, length), i)
+    assert set(classes) == set(firsts)
+    for text, i in firsts.items():
+        occ = scan_occurrences(prefix, FactorRef(i, length))
+        assert classify_pattern(occ, min_occ) == classes[text], (text, i)
 
 
 def test_counts_match_reference_table():
