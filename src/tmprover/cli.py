@@ -183,27 +183,31 @@ def cmd_count(args) -> int:
         raise ValueError("need n_max >= 2")
     if args.n_max > 4096:
         raise core.ResourceLimitError("n_max exceeds the resource cap (4096)")
+    if args.window < args.n_max:
+        raise ValueError(f"--window {args.window} is shorter than the longest "
+                         f"factor, n_max={args.n_max}")
     reps = _counting_reps(args.state_cap)
-    window = args.window
     pairs = {}
     ok = True
-    header = f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"
-    print(header)
+    # The table is printed once every row is computed, so an error on a
+    # later row (a window above the prefix cap) leaves stdout empty.
+    table = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
     for n in range(1, args.n_max + 1):
-        f_routes, g_routes = _route_values(n, reps, window, args.min_occ)
+        f_routes, g_routes = _route_values(n, reps, args.window, args.min_occ)
         f_vals, g_vals = set(f_routes.values()), set(g_routes.values())
         flag = "" if len(f_vals) == 1 and len(g_vals) == 1 else "  MISMATCH"
         if flag:
             ok = False
         f_show = ",".join(f"{k}={v}" for k, v in sorted(f_routes.items()))
         g_show = ",".join(f"{k}={v}" for k, v in sorted(g_routes.items()))
-        print(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}  "
-              f"f[{f_show}] g[{g_show}]{flag}")
+        table.append(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}"
+                     f"  f[{f_show}] g[{g_show}]{flag}")
         for key, val in f_routes.items():
             pairs[f"row.{n}.f.{key}"] = val
         for key, val in g_routes.items():
             pairs[f"row.{n}.g.{key}"] = val
         pairs[f"row.{n}.agree"] = "yes" if not flag else "no"
+    print("\n".join(table))
     print(f"overall: {'pass' if ok else 'fail'}")
     return _finish(pairs, ok, args.out)
 
@@ -316,15 +320,14 @@ def cmd_selftest(args) -> int:
             args.window, args.min_occ, args.state_cap, dfao)),
         ("counting", lambda: _selftest_counting(args.state_cap, dfao)),
     )
-    overall_ok = True
-    for name, run in suites:
-        failures = run()
-        status = "pass" if not failures else "FAIL"
-        print(f"selftest.{name}: {status}")
+    # Every suite runs before anything is printed, so a usage or resource
+    # error raised by a later suite leaves stdout empty.
+    results = [(name, run()) for name, run in suites]
+    for name, failures in results:
+        print(f"selftest.{name}: {'FAIL' if failures else 'pass'}")
         for message in failures[:8]:
             print(f"  - {message}")
-        if failures:
-            overall_ok = False
+    overall_ok = not any(failures for _, failures in results)
     print(f"overall: {'pass' if overall_ok else 'fail'}")
     return 0 if overall_ok else 1
 
@@ -381,6 +384,8 @@ def main(argv=None) -> int:
     if args.min_occ < 4:
         parser.error("--min-occ must be at least 4")
     try:
+        if args.window < 1:
+            raise ValueError(f"--window must be at least 1, got {args.window}")
         return args.func(args)
     except (OSError, ValueError, logic.ScriptError, core.ClassificationError,
             core.ResourceLimitError, linrep.NoncountableError,

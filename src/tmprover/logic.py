@@ -24,6 +24,7 @@ Predicates are stored on their free variables in alphabetical order, and
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -542,8 +543,8 @@ class Compiler:
                           au.align_tracks(right, schema), op, self.state_cap)
 
     def compile(self, f) -> au.MultiTrackAutomaton:
-        """Compile to a canonical automaton on the formula's free variables
-        (tracks sorted by name)."""
+        """Compile a miniscoped formula to a canonical automaton on its
+        free variables (tracks sorted by name)."""
         if isinstance(f, Compare):
             defs = []
             a = self._name(f.left, defs)
@@ -569,10 +570,9 @@ class Compiler:
             return self._combine(self.compile(f.left), self.compile(f.right),
                                  op)
         if isinstance(f, Exists):
-            body = self.compile(f.body)
-            if f.var not in body.tracks:
-                return body
-            return au.project(body, f.var, self.state_cap)
+            # _miniscope has dropped every E whose body does not use its
+            # variable, so the body always has the track.
+            return au.project(self.compile(f.body), f.var, self.state_cap)
         if isinstance(f, Forall):
             body = self.compile(f.body)
             if f.var not in body.tracks:
@@ -599,16 +599,42 @@ class Compiler:
         return self._bind(au.rename_tracks(stored, mapping), defs)
 
 
+def _miniscope(f):
+    """An equivalent formula with every ``E`` scope narrowed, innermost
+    first: conjuncts of the body that do not mention the bound variable
+    move out of the scope, in their order, and an ``E`` whose variable is
+    unused is dropped.  Each existential's product then spans only the
+    tracks its own conjuncts use (early quantification).  ``A`` scopes
+    are kept as written."""
+    if isinstance(f, Not):
+        return Not(_miniscope(f.body))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(_miniscope(f.left), _miniscope(f.right))
+    if isinstance(f, Forall):
+        return Forall(f.var, _miniscope(f.body))
+    if isinstance(f, Exists):
+        inside, outside = [], []
+        for c in _conjuncts(_miniscope(f.body)):
+            (inside if f.var in free_vars(c) else outside).append(c)
+        if inside:
+            outside.append(Exists(f.var, functools.reduce(And, inside)))
+        return functools.reduce(And, outside)
+    return f
+
+
+def _conjuncts(f) -> list:
+    if isinstance(f, And):
+        return _conjuncts(f.left) + _conjuncts(f.right)
+    return [f]
+
+
 def compile_formula(f, env=None, dfao=None,
                     state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
     """Canonical automaton of ``f`` on exactly its free variables (tracks
     sorted by name)."""
     if isinstance(f, str):
         f = parse_formula(f)
-    machine = Compiler(env, dfao, state_cap).compile(f)
-    # Degenerate subformulas (x = x, quantified unused variables) can drop
-    # tracks; re-embed so tracks always equal the free variables.
-    return au.align_tracks(machine, free_vars(f))
+    return Compiler(env, dfao, state_cap).compile(_miniscope(f))
 
 
 def decide(f, env=None, dfao=None, state_cap=DEFAULT_STATE_CAP) -> bool:

@@ -170,6 +170,25 @@ def test_resource_and_window_errors_exit_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", [("count", 3), ("classify", 0, 3)],
+                         ids=["count", "classify"])
+def test_window_below_one_rejected(capsys, command):
+    assert run_cli("--window", -5, *command) == 2
+    err = capsys.readouterr().err
+    assert "--window" in err and "-5" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--window", 2, "count", 3),
+    ("--state-cap", 5, "selftest"),
+], ids=["window-2-count", "state-cap-selftest"])
+def test_usage_errors_print_no_report(capsys, argv):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 @pytest.mark.parametrize("source", [
     'eval deep "Ex x = ' + "+".join(["1"] * 3000) + '":',
     'eval deep "' + "(" * 3000 + "0=0" + ")" * 3000 + '":',

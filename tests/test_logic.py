@@ -1,5 +1,6 @@
 """Tests for the script parser and the formula-to-automaton compiler."""
 
+import functools
 import importlib.resources
 import random
 
@@ -274,6 +275,70 @@ def test_compiled_formula_matches_direct_evaluation(f):
                                QUANT_BOUND)
             got = au.accepts(machine, [values[t] for t in machine.tracks])
             assert got == want, (f, values)
+
+
+# Random formulas with unguarded E blocks against their miniscoped form.
+# An E body is a chain of conjuncts, some with the bound variable and some
+# without; a conjunct may itself be a disjunction.  Both forms are
+# evaluated directly, with quantifiers over [0, QUANT_BOUND): the rewrite
+# is an equivalence over any nonempty domain, so the truncated domain is
+# exact for it.
+
+SCOPE_VARS = ("z", "w", "u")
+
+
+def _scoped_formulas(names, depth):
+    atom = _atoms(names)
+    if depth == 0:
+        return atom
+    sub = _scoped_formulas(names, depth - 1)
+    z = SCOPE_VARS[len(names) - 2]
+    inner = _scoped_formulas(names + (z,), depth - 1)
+    chain = st.lists(inner | sub, min_size=1, max_size=4).map(
+        lambda cs: functools.reduce(And, cs))
+    return st.one_of(
+        atom, st.builds(Not, sub),
+        st.builds(lambda op, a, b: op(a, b),
+                  st.sampled_from([And, Or, Implies, Iff]), sub, sub),
+        chain.map(lambda body: Exists(z, body)),
+        inner.map(lambda body: Forall(z, body)))
+
+
+def _exists_scopes(f):
+    if isinstance(f, Exists):
+        yield f
+    for child in (getattr(f, a, None) for a in ("body", "left", "right")):
+        if child is not None:
+            yield from _exists_scopes(child)
+
+
+@given(_scoped_formulas(("x", "y"), 3))
+@settings(max_examples=300, deadline=None)
+def test_miniscope_preserves_truth(f):
+    g = logic._miniscope(f)
+    assert logic.free_vars(g) == logic.free_vars(f)
+    for node in _exists_scopes(g):
+        # Every E scope is narrow: each conjunct of its body mentions the
+        # bound variable.
+        assert all(node.var in logic.free_vars(c)
+                   for c in logic._conjuncts(node.body)), node
+    lt = {"lt": lambda a, b: a < b}
+    for x in range(8):
+        for y in range(8):
+            values = {"x": x, "y": y}
+            assert brute.holds(g, values, lt, QUANT_BOUND) \
+                == brute.holds(f, values, lt, QUANT_BOUND), (f, g, values)
+
+
+def test_chain_sentences_fit_a_small_cap():
+    # Narrowed one variable at a time, a k-variable chain never needs more
+    # than three tracks at once; built over all k tracks, the product passes
+    # 64 states from k = 10 on.
+    names = [f"v{i}" for i in range(24)]
+    prefix = "E" + ",".join(names) + " "
+    chain = " & ".join(f"{a}<{b}" for a, b in zip(names, names[1:]))
+    assert decide(prefix + chain, state_cap=64) is True
+    assert decide(prefix + chain + " & v23<v0", state_cap=64) is False
 
 
 # ---------------------------------------------------------------------------
