@@ -31,6 +31,9 @@ from tmprover import core, linrep, logic
 
 PATTERN_NAMES = ("abpat", "bapat", "abbapat", "baabpat")
 
+# selftest classifies every factor of length 2..SELFTEST_MAX_LENGTH.
+SELFTEST_MAX_LENGTH = 6
+
 _PATTERN_TO_CLASS = {
     "abpat": core.PatternClass.AB,
     "bapat": core.PatternClass.BA,
@@ -125,6 +128,10 @@ def cmd_classify(args) -> int:
     prefix = core.generate_prefix(args.window)
     occ = core.scan_occurrences(prefix, core.FactorRef(args.start, args.length))
     oracle = core.classify_pattern(occ, args.min_occ)
+    # The pattern machines are built before anything is printed, so a
+    # resource error leaves stdout empty.
+    routed = oracle != core.PatternClass.INSUFFICIENT and args.length >= 2
+    machines = _pattern_machines(args.state_cap) if routed else None
     pairs = {"oracle.class": oracle.value,
              "factor.start": args.start, "factor.length": args.length}
     first_a = next((p for p, lab in occ.entries if lab == "A"), None)
@@ -144,7 +151,6 @@ def cmd_classify(args) -> int:
               "Thue-Morse coded)")
         pairs["automaton.class"] = "unsupported"
         return _finish(pairs, True, args.out)
-    machines = _pattern_machines(args.state_cap)
     hits = [name for name in PATTERN_NAMES
             if au.accepts(machines[name], [args.start, args.length])]
     if len(hits) != 1:
@@ -257,7 +263,7 @@ def _selftest_algebra(rng) -> list[str]:
 def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     failures = []
     machines = _pattern_machines(state_cap, dfao)
-    for n in range(2, 7):
+    for n in range(2, SELFTEST_MAX_LENGTH + 1):
         try:
             classes = core.classify_all_factors(n, window, min_occ)
         except core.ClassificationError as exc:
@@ -309,6 +315,9 @@ def _selftest_counting(state_cap, dfao) -> list[str]:
 
 
 def cmd_selftest(args) -> int:
+    if args.window < SELFTEST_MAX_LENGTH:
+        raise ValueError(f"--window {args.window} is shorter than the longest "
+                         f"factor selftest classifies ({SELFTEST_MAX_LENGTH})")
     dfao = au.tm_dfao()
     if args.corrupt_dfao:
         dfao = au.Dfao(((0, 1), (1, 1)), 0, (0, 1))  # deliberate fault hook

@@ -10,7 +10,7 @@ rank decisions tolerate no rounding.
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tmprover.automata import MultiTrackAutomaton, TrackId, _saturate
@@ -25,13 +25,26 @@ class LinearRepresentation:
     """Row vector, two square digit matrices, column vector.
 
     ``msd_first`` records which end of the digit expansion is fed first
-    when valuing an integer.
+    when valuing an integer.  Integral entries are held as ``int`` (equal,
+    with equal hashes, to the ``Fraction`` they replace); ``rows`` holds,
+    per digit, each matrix row's nonzero ``(column, coefficient)`` pairs.
     """
 
     v: tuple
     gamma: tuple  # (matrix for digit 0, matrix for digit 1)
     w: tuple
     msd_first: bool = False
+    rows: tuple = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        gamma = tuple(tuple(tuple(_exact(x) for x in row) for row in mat)
+                      for mat in self.gamma)
+        object.__setattr__(self, "v", tuple(_exact(x) for x in self.v))
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "w", tuple(_exact(x) for x in self.w))
+        object.__setattr__(self, "rows", tuple(
+            tuple(tuple((j, c) for j, c in enumerate(row) if c)
+                  for row in mat) for mat in gamma))
 
     @property
     def dim(self) -> int:
@@ -40,8 +53,25 @@ class LinearRepresentation:
     def word_value(self, digits):
         x = self.v
         for d in digits:
-            x = _mat_row(x, self.gamma[d])
-        return sum(x[i] * self.w[i] for i in range(len(x)))
+            x = _mat_row(x, self.rows[d])
+        return sum(xi * wi for xi, wi in zip(x, self.w))
+
+
+def _exact(x):
+    """An integral ``Fraction`` as ``int``; any other entry unchanged."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _mat_row(x, rows):
+    """Row vector times matrix, the matrix given by its sparse ``rows``."""
+    out = [0] * len(x)
+    for xi, row in zip(x, rows):
+        if xi:
+            for j, c in row:
+                out[j] += xi * c
+    return out
 
 
 def digits_of(n: int, msd_first: bool) -> list[int]:
@@ -240,23 +270,18 @@ def _insert_row(echelon, row):
     return True
 
 
-def _mat_row(x, mat):
-    n = len(x)
-    return tuple(sum(x[i] * mat[i][j] for i in range(n)) for j in range(n))
-
-
 def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
     """Restrict to the row space spanned by v.gamma(word); value-preserving."""
     dim = rep.dim
     if dim == 0:
         return rep
     echelon = []
-    queue = [tuple(Fraction(x) for x in rep.v)]
+    queue = [rep.v]
     while queue:
         x = queue.pop()
         if _insert_row(echelon, _reduce_row(echelon, x)):
-            queue.append(_mat_row(x, rep.gamma[0]))
-            queue.append(_mat_row(x, rep.gamma[1]))
+            queue.append(_mat_row(x, rep.rows[0]))
+            queue.append(_mat_row(x, rep.rows[1]))
     if not echelon:
         return LinearRepresentation((), ((), ()), (), rep.msd_first)
     # The echelon rows span the same space and stay fully reduced with unit
@@ -270,7 +295,7 @@ def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
 
     new_gamma = []
     for d in (0, 1):
-        new_gamma.append(tuple(coords(_mat_row(b, rep.gamma[d]))
+        new_gamma.append(tuple(coords(_mat_row(b, rep.rows[d]))
                                for b in basis))
     new_v = coords(rep.v)
     new_w = tuple(sum(b[i] * rep.w[i] for i in range(dim)) for b in basis)
@@ -305,7 +330,7 @@ def dump_representation(rep: LinearRepresentation) -> str:
     lines = [f"order {'msd' if rep.msd_first else 'lsd'}", f"dim {rep.dim}"]
 
     def fmt(xs):
-        return " ".join(str(Fraction(x)) for x in xs)
+        return " ".join(map(str, xs))
 
     lines.append(fmt(rep.v))
     for d in (0, 1):

@@ -138,6 +138,21 @@ def test_classify_state_cap_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_classify_resource_error_prints_no_report(capsys):
+    assert run_cli("--state-cap", 5, "classify", 2, 3) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_selftest_window_error_names_the_flag(capsys):
+    assert run_cli("--window", 3, "selftest") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--window 3" in captured.err
+    assert "(6)" in captured.err
+
+
 def test_count_applies_min_occ(capsys):
     # A length-3 factor and its complement occur about 1365 times in 4096
     # positions, fewer than 2000: the oracle classifies none of them, so

@@ -5,9 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import brute_logic as brute
+from formula_strategies import QUANT_BOUND, formulas
 from tmprover import automata as au
 from tmprover import core, logic
+from tmprover.logic import And, Compare, Const, Or, Sum, Var, compile_formula
 from tmprover.linrep import (
     LinearRepresentation, NoncountableError, counting_query, digits_of,
     dump_representation, equal_reps, evaluate, extract_counting,
@@ -16,8 +21,10 @@ from tmprover.linrep import (
     scale, subtract,
 )
 
-COUNT_SCRIPT = (importlib.resources.files("tmprover") / "fixtures"
-                / "paper_count.wal").read_text()
+FIXTURES = importlib.resources.files("tmprover") / "fixtures"
+COUNT_SCRIPT = (FIXTURES / "paper_count.wal").read_text()
+LR_FIXTURES = ("count_ab.lr", "count_abba.lr", "seq_a006165.lr",
+               "seq_a060973.lr")
 
 F_TABLE = [0, 2, 2, 4, 4, 6, 8, 8, 8, 10, 12, 14, 16, 16, 16]
 G_TABLE = [0, 0, 1, 1, 2, 2, 2, 3, 4, 4, 4, 4, 4, 5, 6]
@@ -259,3 +266,98 @@ def test_rank_zero_identity(extracted):
     lsd_a060973 = reverse_rep(from_recurrence_a060973())
     diff = minimize_rep(subtract(extracted["mabba"], lsd_a060973))
     assert diff.dim == 0
+
+
+# ---------------------------------------------------------------------------
+# The sparse integer kernel against a dense Fraction product
+
+
+@st.composite
+def fraction_entries(draw):
+    """(v, gamma, w, msd_first) with Fraction entries, some non-integral,
+    dims 0-5 and some all-zero matrix rows."""
+    dim = draw(st.integers(0, 5))
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-3, 3),
+                                st.integers(1, 3)))
+    vector = st.lists(entry, min_size=dim, max_size=dim).map(tuple)
+
+    def matrix():
+        rows = draw(st.lists(vector, min_size=dim, max_size=dim))
+        zero = draw(st.sets(st.integers(0, max(dim - 1, 0)), max_size=dim))
+        return tuple((Fraction(0),) * dim if i in zero else row
+                     for i, row in enumerate(rows))
+
+    return (draw(vector), (matrix(), matrix()), draw(vector),
+            draw(st.booleans()))
+
+
+def dense_value(v, gamma, w, word):
+    """v . gamma(d1) ... gamma(dl) . w, every product term summed."""
+    x = list(v)
+    for d in word:
+        x = [sum((x[i] * gamma[d][i][j] for i in range(len(x))), Fraction(0))
+             for j in range(len(x))]
+    return sum((a * b for a, b in zip(x, w)), Fraction(0))
+
+
+@given(fraction_entries(),
+       st.lists(st.lists(st.integers(0, 1), max_size=12), max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_kernel_matches_dense_fraction_product(entries, words):
+    v, gamma, w, msd = entries
+    rep = LinearRepresentation(v, gamma, w, msd)
+    # Integral entries are held as int, the rest as Fraction; either way
+    # the representation equals, and hashes as, its all-Fraction entries.
+    for x in rep.v + rep.w + sum(rep.gamma[0] + rep.gamma[1], ()):
+        assert type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+    assert (rep.v, rep.gamma, rep.w) == (v, gamma, w)
+    assert hash(rep) == hash((v, gamma, w, msd))
+    mixed = LinearRepresentation(
+        tuple(int(x) if x.denominator == 1 else x for x in v), gamma, w, msd)
+    assert mixed == rep and hash(mixed) == hash(rep)
+    for n in range(256):
+        assert evaluate(rep, n) == dense_value(v, gamma, w,
+                                               digits_of(n, msd)), n
+    for word in words:
+        assert rep.word_value(word) == dense_value(v, gamma, w, word), word
+
+
+@pytest.mark.parametrize("name", LR_FIXTURES)
+def test_fixture_dump_is_the_file_body(name):
+    text = (FIXTURES / name).read_text()
+    body = [line for line in text.splitlines() if not line.startswith("#")]
+    assert dump_representation(load_representation(text)) \
+        == "\n".join(body) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Counting representations of generated formulas against direct counts
+
+
+def _counting_query(f):
+    env = logic.PredicateEnv()
+    env.bind("lt", ("x", "y"), au.base_lt())
+    return counting_query(compile_formula(f, env), "i", "n")
+
+
+@given(st.integers(0, 3), formulas(("i", "n"), 2))
+@settings(max_examples=100, deadline=None)
+def test_counting_matches_direct_counts(c, phi):
+    # i < n + c bounds the counted variable, so every count is finite.
+    f = And(Compare(Var("i"), "<", Sum(Var("n"), Const(c))), phi)
+    rep = extract_counting(_counting_query(f))
+    lt = {"lt": lambda a, b: a < b}
+    for n in range(64):
+        want = sum(brute.holds(f, {"i": i, "n": n}, lt, QUANT_BOUND)
+                   for i in range(n + c))
+        assert evaluate(rep, n) == want, (f, n)
+
+
+@given(st.integers(0, 3), formulas(("i", "n"), 2))
+@settings(max_examples=40, deadline=None)
+def test_unbounded_counted_variable_is_noncountable(c, phi):
+    # Every i > n + c satisfies f, whatever phi says.
+    f = Or(Compare(Var("i"), ">", Sum(Var("n"), Const(c))), phi)
+    with pytest.raises(NoncountableError):
+        extract_counting(_counting_query(f))

@@ -9,11 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_logic as brute
+from formula_strategies import QUANT_BOUND, atoms, formulas
 from tmprover import automata as au
 from tmprover import logic
 from tmprover.logic import (
-    And, Call, Compare, CompileError, Const, Exists, Forall, Iff, Implies,
-    Not, Or, ParseError, ScriptError, SeqCompare, Sum, Var,
+    And, Call, Compare, CompileError, Exists, Forall, Iff, Implies, Not, Or,
+    ParseError, ScriptError, SeqCompare, Sum, Var,
     compile_formula, decide, parse_formula, parse_script, run_script,
 )
 
@@ -216,52 +217,9 @@ def test_compile_arithmetic_atoms(x, y):
     assert au.accepts(machine, [x, y]) == (x + 3 == y)
 
 
-# Random formulas over x, y against direct evaluation.  Terms mix sums
-# (x+x among them) and numerals, calls of $lt get duplicated and compound
-# arguments, and quantifiers are bounded so the evaluator is exact.
+# Random formulas over x, y against direct evaluation.
 
-QUANT_BOUND = 4
-BOUND_VARS = ("z", "w")
-
-
-def _terms(names):
-    leaf = st.one_of(st.sampled_from(names).map(Var),
-                     st.integers(0, 3).map(Const))
-    return st.one_of(
-        leaf,
-        st.sampled_from(names).map(lambda v: Sum(Var(v), Var(v))),
-        st.builds(Sum, leaf, st.builds(Sum, leaf, leaf) | leaf))
-
-
-def _atoms(names):
-    term = _terms(names)
-    return st.one_of(
-        st.builds(Compare, term, st.sampled_from(["=", "!=", "<", "<=", ">",
-                                                  ">="]), term),
-        st.builds(SeqCompare, term, st.sampled_from(["=", "!="]),
-                  term | st.sampled_from([0, 1])),
-        st.builds(lambda a, b: Call("lt", (a, b)), term, term),
-        term.map(lambda t: Call("lt", (t, t))))
-
-
-def _formulas(names, depth):
-    atom = _atoms(names)
-    if depth == 0:
-        return atom
-    sub = _formulas(names, depth - 1)
-    z = BOUND_VARS[len(names) - 2]
-    scoped = _formulas(names + (z,), depth - 1)
-    guard = st.integers(0, QUANT_BOUND).map(
-        lambda c: Compare(Var(z), "<", Const(c)))
-    return st.one_of(
-        atom, st.builds(Not, sub),
-        st.builds(lambda op, a, b: op(a, b),
-                  st.sampled_from([And, Or, Implies, Iff]), sub, sub),
-        st.builds(lambda g, body: Exists(z, And(g, body)), guard, scoped),
-        st.builds(lambda g, body: Forall(z, Implies(g, body)), guard, scoped))
-
-
-@given(_formulas(("x", "y"), 2))
+@given(formulas(("x", "y"), 2))
 @settings(max_examples=200, deadline=None)
 def test_compiled_formula_matches_direct_evaluation(f):
     env = logic.PredicateEnv()
@@ -288,7 +246,7 @@ SCOPE_VARS = ("z", "w", "u")
 
 
 def _scoped_formulas(names, depth):
-    atom = _atoms(names)
+    atom = atoms(names)
     if depth == 0:
         return atom
     sub = _scoped_formulas(names, depth - 1)
