@@ -300,15 +300,12 @@ def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
                             "xor"))
 
 
-def encode_values(values, length=None) -> list[int]:
-    """Pack naturals into LSD-first tuple symbols, zero-padded to a length."""
+def encode_values(values) -> list[int]:
+    """Pack naturals into LSD-first tuple symbols, as many as the longest
+    value has bits."""
     if any(v < 0 for v in values):
         raise ValueError("values must be nonnegative")
     width = max([v.bit_length() for v in values] + [0])
-    if length is not None:
-        if length < width:
-            raise ValueError("length too short for the given values")
-        width = length
     symbols = []
     for k in range(width):
         sym = 0

@@ -81,6 +81,14 @@ def _pattern_machines(state_cap: int, dfao=None) -> dict[str, object]:
     return {c.name: c.automaton for c in report.commands if c.kind == "def"}
 
 
+def _automaton_route(machines, start: int, length: int):
+    """The pattern machines accepting (start, length), and their class if
+    exactly one does (else None)."""
+    hits = [name for name in PATTERN_NAMES
+            if au.accepts(machines[name], [start, length])]
+    return hits, _PATTERN_TO_CLASS[hits[0]] if len(hits) == 1 else None
+
+
 def _counting_reps(state_cap: int, dfao=None):
     report = logic.run_script(fixture_text("paper_count.wal"), dfao=dfao,
                               state_cap=state_cap)
@@ -151,12 +159,11 @@ def cmd_classify(args) -> int:
               "Thue-Morse coded)")
         pairs["automaton.class"] = "unsupported"
         return _finish(pairs, True, args.out)
-    hits = [name for name in PATTERN_NAMES
-            if au.accepts(machines[name], [args.start, args.length])]
-    if len(hits) != 1:
+    hits, automaton_class = _automaton_route(machines, args.start,
+                                             args.length)
+    if automaton_class is None:
         print(f"error: automaton route matched {hits!r}", file=sys.stderr)
         return _finish(pairs, False, args.out)
-    automaton_class = _PATTERN_TO_CLASS[hits[0]]
     print(f"automaton class: {automaton_class.value}")
     pairs["automaton.class"] = automaton_class.value
     ok = automaton_class == oracle
@@ -263,13 +270,13 @@ def _selftest_algebra(rng) -> list[str]:
 def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     failures = []
     machines = _pattern_machines(state_cap, dfao)
+    prefix = core.generate_prefix(window)
     for n in range(2, SELFTEST_MAX_LENGTH + 1):
         try:
             classes = core.classify_all_factors(n, window, min_occ)
         except core.ClassificationError as exc:
             failures.append(f"n={n}: {exc}")
             continue
-        prefix = core.generate_prefix(window)
         firsts = {}
         for i in range(min(256, window - n)):
             text = prefix.factor(i, n)
@@ -280,9 +287,8 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
             if want == core.PatternClass.INSUFFICIENT:
                 failures.append(f"n={n} i={i}: window too small (INSUFFICIENT)")
                 continue
-            hits = [name for name in PATTERN_NAMES
-                    if au.accepts(machines[name], [i, n])]
-            if len(hits) != 1 or _PATTERN_TO_CLASS[hits[0]] != want:
+            hits, got = _automaton_route(machines, i, n)
+            if got != want:
                 failures.append(
                     f"n={n} i={i}: oracle {want.value} vs automata {hits}")
     return failures

@@ -94,13 +94,11 @@ class FactorRef:
 class OccurrenceList:
     """Merged occurrences of a factor (label A) and its complement (label B).
 
-    ``entries`` is position-sorted; ``window`` is the prefix length that was
-    scanned.  Overlapping occurrences are all present.
+    ``entries`` is position-sorted.  Overlapping occurrences are all present.
     """
 
     entries: tuple[tuple[int, str], ...]
     factor: FactorRef
-    window: int
 
     def labels(self) -> str:
         return "".join(lab for _, lab in self.entries)
@@ -147,7 +145,7 @@ def scan_occurrences(prefix: TmPrefix, factor: FactorRef) -> OccurrenceList:
     if x == xbar:  # impossible over a binary alphabet, kept as a guard
         raise ClassificationError("factor equals its own complement")
     entries.sort()
-    return OccurrenceList(tuple(entries), factor, prefix.length)
+    return OccurrenceList(tuple(entries), factor)
 
 
 def _tm_coded_labels(positions, zero_label: str) -> str:

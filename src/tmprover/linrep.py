@@ -13,7 +13,9 @@ import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tmprover.automata import MultiTrackAutomaton, TrackId, _saturate
+from tmprover.automata import (
+    MultiTrackAutomaton, TrackId, _saturate, is_zero_closed,
+)
 
 
 class NoncountableError(Exception):
@@ -106,6 +108,10 @@ def counting_query(machine: MultiTrackAutomaton, counted: str,
     if {counted, parameter} != set(machine.tracks):
         raise ValueError(
             f"tracks {machine.tracks} do not match ({counted}, {parameter})")
+    if not is_zero_closed(machine):
+        # The gamma(0) limit in extract_counting counts values, not
+        # encodings, only when padding zeros keep acceptance.
+        raise ValueError("counting needs a zero-closed automaton")
     return CountingQuery(machine,
                          TrackId(counted, machine.track_index(counted)),
                          TrackId(parameter, machine.track_index(parameter)))
@@ -122,46 +128,9 @@ def _reachable(a: MultiTrackAutomaton) -> set:
     return reach
 
 
-def _live_states(a: MultiTrackAutomaton, reachable: set):
+def _live_states(a: MultiTrackAutomaton):
     """Sorted states that are reachable and can reach acceptance."""
-    return sorted(reachable & _saturate(a.accepting, a.transitions))
-
-
-def _check_countable(a: MultiTrackAutomaton, counted_pos: int,
-                     reachable: set):
-    """Reject queries where pumping zero parameter digits can grow the
-    counted value without bound on a path to acceptance."""
-    zero_syms = [b << counted_pos for b in (0, 1)]
-    n = a.num_states
-    # Tarjan-free SCC detection is overkill at these sizes: iterate pairs
-    # reachable within the zero-parameter subgraph.
-    reach_zero = [set() for _ in range(n)]
-    for q in range(n):
-        frontier = {a.transitions[q][s] for s in zero_syms}
-        seen = set(frontier)
-        while frontier:
-            nxt = set()
-            for p in frontier:
-                for s in zero_syms:
-                    t = a.transitions[p][s]
-                    if t not in seen:
-                        seen.add(t)
-                        nxt.add(t)
-            frontier = nxt
-        reach_zero[q] = seen
-    accept_zero = {q for q in range(n)
-                   if q in a.accepting or reach_zero[q] & a.accepting}
-    one_sym = 1 << counted_pos
-    for q in reachable:
-        if q not in accept_zero:
-            continue
-        # A zero-parameter cycle through q whose edge out of q reads a 1 on
-        # the counted track; cycles with the 1 elsewhere are caught when the
-        # loop reaches that state.
-        t = a.transitions[q][one_sym]
-        if t == q or q in reach_zero[t]:
-            raise NoncountableError(
-                f"state {q} pumps unboundedly many counted values")
+    return sorted(_reachable(a) & _saturate(a.accepting, a.transitions))
 
 
 def extract_counting(query: CountingQuery) -> LinearRepresentation:
@@ -170,14 +139,13 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
     gamma(d) sums the transition matrices over the counted track's digit;
     v marks the initial state; w starts as the accepting indicator and is
     then replaced by its gamma(0) limit, which exists exactly when every
-    parameter admits finitely many counted values.  With that limit
-    absorbed, valuing the canonical LSD digits of n yields the exact count.
+    parameter admits finitely many counted values; NoncountableError
+    otherwise.  With that limit absorbed, valuing the canonical LSD digits
+    of n yields the exact count.
     """
     a = query.automaton
     ci, pi = query.counted.index, query.parameter.index
-    reachable = _reachable(a)
-    _check_countable(a, ci, reachable)
-    live = _live_states(a, reachable)
+    live = _live_states(a)
     if not live or a.initial not in live:
         return LinearRepresentation((), ((), ()), (), msd_first=False)
     index = {q: i for i, q in enumerate(live)}

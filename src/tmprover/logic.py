@@ -6,7 +6,9 @@ decide predicates over natural numbers with Thue-Morse indexing:
     def NAME "FORMULA":
     eval NAME "FORMULA":
     eval NAME VAR "FORMULA":      (counting form: VAR is the parameter)
-    # comment
+    # comment, to end of line, anywhere
+
+Command names and VAR follow the identifier rule (lowercase first).
 
 Formulas:  quantifiers ``A``/``E`` with comma-separated variables, the
 connectives ``~ & | => <=>``, comparisons ``= != < <= > >=``, addition,
@@ -168,7 +170,8 @@ def free_vars(f) -> set[str]:
 _TWO_CHAR = {"=>": "IMPLIES", "<=": "LE", ">=": "GE", "!=": "NE"}
 _ONE_CHAR = {"&": "AND", "|": "OR", "~": "NOT", "=": "EQ", "<": "LT",
              ">": "GT", "+": "PLUS", "(": "LPAREN", ")": "RPAREN",
-             "[": "LBRACK", "]": "RBRACK", ",": "COMMA", "$": "DOLLAR"}
+             "[": "LBRACK", "]": "RBRACK", ",": "COMMA", "$": "DOLLAR",
+             '"': "QUOTE", ":": "COLON"}
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,12 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             col += 1
+            continue
+        if ch == "#":  # comment to end of line
+            end = text.find("\n", i)
+            end = n if end == -1 else end
+            col += end - i
+            i = end
             continue
         start_col = col
         if text.startswith("<=>", i):
@@ -400,72 +409,36 @@ def parse_formula(text: str):
 class Command:
     kind: str  # "def" | "eval" | "eval_count"
     name: str
-    formula_source: str
+    formula: object
     count_var: str | None = None
     line: int = 0
 
 
 def parse_script(source: str) -> list[Command]:
-    """Split a script into commands: ``def``/``eval`` with quoted formulas,
-    each terminated by a colon.  ``#`` comments run to end of line."""
+    """Commands ``def|eval NAME [VAR] "FORMULA":``, read by the formula
+    lexer and parser in one pass; ``#`` comments run to end of line, and
+    error positions are the script's own lines and columns."""
+    parser = _Parser(tokenize(source))
     commands = []
-    i = 0
-    n = len(source)
-    line = 1
-
-    def skip_blank(i, line):
-        while i < n:
-            if source[i] == "\n":
-                line += 1
-                i += 1
-            elif source[i].isspace():
-                i += 1
-            elif source[i] == "#":
-                while i < n and source[i] != "\n":
-                    i += 1
-            else:
-                break
-        return i, line
-
-    def read_word(i):
-        j = i
-        while j < n and (source[j].isalnum() or source[j] == "_"):
-            j += 1
-        return source[i:j], j
-
-    while True:
-        i, line = skip_blank(i, line)
-        if i >= n:
-            break
-        cmd_line = line
-        keyword, i = read_word(i)
-        if keyword not in ("def", "eval"):
-            raise ParseError(f"expected 'def' or 'eval', found {keyword!r}",
-                             line, 1)
-        i, line = skip_blank(i, line)
-        name, i = read_word(i)
-        if not name:
-            raise ParseError("missing command name", line, 1)
-        i, line = skip_blank(i, line)
+    while parser.peek().kind != "EOF":
+        keyword = parser.peek()
+        if keyword.kind != "NAME" or keyword.value not in ("def", "eval"):
+            parser.fail(f"expected 'def' or 'eval', found {keyword.value!r}")
+        parser.next()
+        name = parser.expect("NAME").value
         count_var = None
-        if keyword == "eval" and i < n and source[i] != '"':
-            count_var, i = read_word(i)
-            i, line = skip_blank(i, line)
-        if i >= n or source[i] != '"':
-            raise ParseError("expected a quoted formula", line, 1)
-        end = source.find('"', i + 1)
-        if end == -1:
-            raise ParseError("unterminated formula quote", line, 1)
-        body = source[i + 1:end]
-        line += body.count("\n")
-        i = end + 1
-        i, line = skip_blank(i, line)
-        if i >= n or source[i] != ":":
-            raise ParseError("expected ':' after command", line, 1)
-        i += 1
-        kind = "eval_count" if count_var else keyword
-        commands.append(Command(kind, name, " ".join(body.split()),
-                                count_var, cmd_line))
+        if keyword.value == "eval" and parser.peek().kind == "NAME":
+            count_var = parser.next().value
+        parser.expect("QUOTE")
+        try:
+            formula = parser.parse_formula()
+        except RecursionError:
+            raise ParseError(f"{keyword.value} {name}: formula nests too "
+                             f"deeply", keyword.line, keyword.col) from None
+        parser.expect("QUOTE")
+        parser.expect("COLON")
+        kind = "eval_count" if count_var else keyword.value
+        commands.append(Command(kind, name, formula, count_var, keyword.line))
     return commands
 
 
@@ -688,7 +661,7 @@ def run_script(source: str, dfao=None,
     for cmd in commands:
         start = time.perf_counter()
         try:
-            machine = compile_formula(cmd.formula_source, env, dfao, state_cap)
+            machine = compile_formula(cmd.formula, env, dfao, state_cap)
             params = machine.tracks
             if cmd.kind == "def":
                 env.bind(cmd.name, params, machine)
@@ -707,8 +680,8 @@ def run_script(source: str, dfao=None,
                 verdict = "n/a"
             else:
                 verdict = "TRUE" if not au.is_empty(machine) else "FALSE"
-        except (ParseError, CompileError, au.StateLimitError,
-                au.TrackMismatchError, RecursionError) as exc:
+        except (CompileError, au.StateLimitError, au.TrackMismatchError,
+                RecursionError) as exc:
             raise ScriptError(
                 f"{cmd.kind} {cmd.name} (line {cmd.line}): {exc}") from exc
         elapsed = (time.perf_counter() - start) * 1000.0

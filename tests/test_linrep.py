@@ -1,5 +1,6 @@
 """Tests for the exact-rational counting representations."""
 
+import functools
 import importlib.resources
 import random
 from fractions import Fraction
@@ -361,3 +362,82 @@ def test_unbounded_counted_variable_is_noncountable(c, phi):
     f = Or(Compare(Var("i"), ">", Sum(Var("n"), Const(c))), phi)
     with pytest.raises(NoncountableError):
         extract_counting(_counting_query(f))
+
+
+# ---------------------------------------------------------------------------
+# The gamma(0) limit as the only guard against infinite counts
+
+
+def _pumps_counted_values(a, counted_pos) -> bool:
+    """Reference: a reachable state on a cycle of zero parameter digits
+    from which such digits read a counted 1 and then reach acceptance.
+    Pumping the cycle before that 1 gives one parameter infinitely many
+    counted values."""
+    zero_syms = [b << counted_pos for b in (0, 1)]
+
+    def closure(starts, symbols):
+        """States reached from ``starts`` in zero or more steps."""
+        seen = set(starts)
+        stack = list(seen)
+        while stack:
+            row = a.transitions[stack.pop()]
+            for s in symbols:
+                if row[s] not in seen:
+                    seen.add(row[s])
+                    stack.append(row[s])
+        return seen
+
+    for q in closure({a.initial}, range(4)):
+        row = a.transitions[q]
+        if q not in closure({row[s] for s in zero_syms}, zero_syms):
+            continue
+        for p in closure({q}, zero_syms):
+            one = a.transitions[p][1 << counted_pos]
+            if closure({one}, zero_syms) & a.accepting:
+                return True
+    return False
+
+
+@functools.lru_cache(maxsize=None)
+def _bound(counted, parameter, c):
+    return compile_formula(f"{counted} <= {parameter} + {c}")
+
+
+@st.composite
+def zero_closed_queries(draw):
+    """A random two-track machine made zero-closed, with its counted and
+    parameter tracks.  Half the time it is conjoined with counted <=
+    parameter + c, so that many counts are finite and need several gamma(0)
+    steps to settle."""
+    n = draw(st.integers(1, 6))
+    trans = [[draw(st.integers(0, n - 1)) for _ in range(4)]
+             for _ in range(n)]
+    accepting = {q for q in range(n) if draw(st.booleans())}
+    machine = au.zero_close(au.MultiTrackAutomaton(("i", "n"), trans, 0,
+                                                   accepting))
+    counted, parameter = draw(st.sampled_from([("i", "n"), ("n", "i")]))
+    c = draw(st.none() | st.integers(0, 40))
+    if c is not None:
+        machine = au.product(machine, _bound(counted, parameter, c), "and")
+    return counting_query(machine, counted, parameter)
+
+
+@given(zero_closed_queries())
+@settings(max_examples=300, deadline=None)
+def test_limit_loop_rejects_exactly_the_pumping_cycles(query):
+    try:
+        extract_counting(query)
+        raised = False
+    except NoncountableError:
+        raised = True
+    assert raised == _pumps_counted_values(query.automaton,
+                                           query.counted.index)
+
+
+def test_counting_query_rejects_machines_not_zero_closed():
+    # Accepts only the encodings of (0, 0) with an odd number of digits.
+    odd = au.MultiTrackAutomaton(("i", "n"), [[1, 2, 2, 2], [0, 2, 2, 2],
+                                              [2, 2, 2, 2]], 0, {1})
+    assert not au.is_zero_closed(odd)
+    with pytest.raises(ValueError, match="zero-closed"):
+        counting_query(odd, "i", "n")

@@ -3,6 +3,7 @@
 import functools
 import importlib.resources
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +19,8 @@ from tmprover.logic import (
     compile_formula, decide, parse_formula, parse_script, run_script,
 )
 
-THM1 = (importlib.resources.files("tmprover") / "fixtures"
-        / "paper_thm1.wal").read_text()
+FIXTURES = importlib.resources.files("tmprover") / "fixtures"
+THM1 = (FIXTURES / "paper_thm1.wal").read_text()
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,51 @@ def test_parse_script_forms():
         'eval truth "0=0":\n')
     assert [c.kind for c in cmds] == ["def", "eval_count", "eval"]
     assert cmds[1].count_var == "n"
-    assert "\n" not in cmds[1].formula_source
+    assert cmds[1].formula == parse_formula("$feq(i,i,n) & i<n")
+
+
+# Reference reading of a script: each command starts a line, and its
+# formula is the quoted body with whitespace collapsed.
+_COMMAND = re.compile(r'^(def|eval)[ \t]+(\w+)[ \t]*(\w*)[ \t]*"([^"]*)"[ \t]*:',
+                      re.MULTILINE)
+
+
+@pytest.mark.parametrize("name", ["paper_thm1.wal", "paper_thm2.wal",
+                                  "paper_count.wal"])
+def test_parse_script_matches_fixture_commands(name):
+    source = (FIXTURES / name).read_text()
+    want = []
+    for m in _COMMAND.finditer(source):
+        keyword, cmd, var, body = m.groups()
+        want.append(("eval_count" if var else keyword, cmd, var or None,
+                     source.count("\n", 0, m.start()) + 1,
+                     parse_formula(" ".join(body.split()))))
+    got = [(c.kind, c.name, c.count_var, c.line, c.formula)
+           for c in parse_script(source)]
+    assert want and got == want
+
+
+def test_script_error_reports_file_position():
+    source = ('# header\n'
+              '\n'
+              'def bad "Ak (k<n) =>\n'
+              '   T[i+k]=T[j+k] & j<n * 2":\n')
+    with pytest.raises(ParseError) as err:
+        parse_script(source)
+    assert (err.value.line, err.value.col) == (4, 24)
+    with pytest.raises(ScriptError, match=r"\(line 4, column 24\)"):
+        run_script(source)
+
+
+def test_comment_line_inside_formula():
+    cmds = parse_script('def p "x<y &\n# why\n  y<z":  # trailing\n')
+    assert cmds[0].formula == parse_formula("x<y & y<z")
+
+
+def test_command_name_follows_identifier_rule():
+    with pytest.raises(ParseError) as err:
+        parse_script('eval Bad "0=0":')
+    assert err.value.line == 1
 
 
 def test_parse_script_errors():
