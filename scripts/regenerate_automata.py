@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Regenerate the pattern-automaton snapshots under snapshots/.
+"""Regenerate the snapshots under snapshots/.
 
 Writes the canonical compact text form (LSD convention, the engine's
 internal one) and an MSD DOT rendering for each of the four pattern
-predicates.  Output is deterministic, so a clean checkout regenerates
-byte-identical files; tests/test_snapshots.py enforces that.
+predicates, and the ``prove --out`` block of each shipped proof script.
+Output is deterministic, so a clean checkout regenerates byte-identical
+files; tests/test_snapshots.py enforces that.
 """
 
+import contextlib
+import io
 import pathlib
 import sys
 
@@ -14,6 +17,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from tmprover import automata as au  # noqa: E402
 from tmprover import cli  # noqa: E402
+
+FIXTURES = pathlib.Path(cli.__file__).parent / "fixtures"
+PROOF_SCRIPTS = ("paper_thm1", "paper_thm2", "paper_count")
 
 
 def main():
@@ -26,6 +32,17 @@ def main():
         (out_dir / f"{name}.dot").write_text(au.export_dot(machine, "msd"))
         print(f"{name}: {machine.num_states} states (lsd), "
               f"dot rendered msd-first")
+    for name in PROOF_SCRIPTS:
+        out = out_dir / f"{name}.out"
+        # The human-readable report carries timings; only --out is kept.
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["--out", str(out), "prove",
+                             str(FIXTURES / f"{name}.wal"), "--expected",
+                             str(FIXTURES / f"{name}.expected")])
+        if code != 0:
+            print(f"{name}: prove exited {code}", file=sys.stderr)
+            return code
+        print(f"{name}: prove --out block written")
     return 0
 
 

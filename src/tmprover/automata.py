@@ -7,9 +7,11 @@ canonical automaton here is *zero-closed*: acceptance depends only on the
 encoded values, never on how many trailing all-zero tuples pad the word.
 
 Symbols are packed into integers: bit ``i`` of a symbol is the digit on
-track ``i`` (tracks are kept sorted by name).  All public operations return
-canonical machines: deterministic, complete, minimized, BFS-numbered (so
-equal languages over equal tracks yield structurally identical automata).
+track ``i`` (tracks are kept sorted by name).  Given canonical machines
+(deterministic, complete, minimal, zero-closed, BFS-numbered), every public
+operation returns one, so equal languages over equal tracks yield identical
+automata and no caller canonicalizes again: ``complement`` just flips the
+accepting set, and ``rename_tracks``/``align_tracks`` renumber BFS.
 """
 
 from __future__ import annotations
@@ -197,13 +199,11 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
 
 
 def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """Language complement; zero-closure is re-established if absent."""
-    if not is_zero_closed(a):
-        a = zero_close(a)
-    flipped = MultiTrackAutomaton(
+    """Language complement: flipping the accepting set keeps a canonical
+    machine minimal, BFS-numbered and zero-closed."""
+    result = MultiTrackAutomaton(
         a.tracks, a.transitions, a.initial,
         frozenset(range(a.num_states)) - a.accepting)
-    result = minimize(flipped)
     assert is_zero_closed(result)
     return result
 
@@ -251,7 +251,8 @@ def project(a: MultiTrackAutomaton, track: str,
 
 def _reindex(a: MultiTrackAutomaton, tracks, positions) -> MultiTrackAutomaton:
     """``a`` read over ``tracks``, where old track i sits at new position
-    ``positions[i]``; new tracks no old track maps to are unconstrained."""
+    ``positions[i]``; new tracks no old track maps to are unconstrained.
+    Permuted symbols keep a machine minimal, not BFS-numbered."""
     reads = []
     for sym in range(1 << len(tracks)):
         old = 0
@@ -259,8 +260,10 @@ def _reindex(a: MultiTrackAutomaton, tracks, positions) -> MultiTrackAutomaton:
             if sym >> p & 1:
                 old |= 1 << i
         reads.append(old)
-    trans = [[row[old] for old in reads] for row in a.transitions]
-    return MultiTrackAutomaton(tracks, trans, a.initial, a.accepting)
+    # A walk finds at most num_states states, so this cap is never reached.
+    return _explore(tracks, a.initial,
+                    lambda q: [a.transitions[q][old] for old in reads],
+                    a.accepting.__contains__, a.num_states)
 
 
 def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tmprover.automata import (
-    MultiTrackAutomaton, TrackId, _saturate, is_zero_closed,
+    MultiTrackAutomaton, TrackId, _saturate, is_zero_closed, minimize,
 )
 
 
@@ -112,25 +112,15 @@ def counting_query(machine: MultiTrackAutomaton, counted: str,
         # The gamma(0) limit in extract_counting counts values, not
         # encodings, only when padding zeros keep acceptance.
         raise ValueError("counting needs a zero-closed automaton")
+    machine = minimize(machine)  # so every state is reachable
     return CountingQuery(machine,
                          TrackId(counted, machine.track_index(counted)),
                          TrackId(parameter, machine.track_index(parameter)))
 
 
-def _reachable(a: MultiTrackAutomaton) -> set:
-    reach = {a.initial}
-    stack = [a.initial]
-    while stack:
-        for t in a.transitions[stack.pop()]:
-            if t not in reach:
-                reach.add(t)
-                stack.append(t)
-    return reach
-
-
 def _live_states(a: MultiTrackAutomaton):
-    """Sorted states that are reachable and can reach acceptance."""
-    return sorted(_reachable(a) & _saturate(a.accepting, a.transitions))
+    """Sorted states that can reach acceptance (all are reachable)."""
+    return sorted(_saturate(a.accepting, a.transitions))
 
 
 def extract_counting(query: CountingQuery) -> LinearRepresentation:

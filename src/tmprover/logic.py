@@ -517,7 +517,7 @@ class Compiler:
 
     def compile(self, f) -> au.MultiTrackAutomaton:
         """Compile a miniscoped formula to a canonical automaton on its
-        free variables (tracks sorted by name)."""
+        free variables (tracks sorted by name); it has no ``A``."""
         if isinstance(f, Compare):
             defs = []
             a = self._name(f.left, defs)
@@ -546,12 +546,6 @@ class Compiler:
             # _miniscope has dropped every E whose body does not use its
             # variable, so the body always has the track.
             return au.project(self.compile(f.body), f.var, self.state_cap)
-        if isinstance(f, Forall):
-            body = self.compile(f.body)
-            if f.var not in body.tracks:
-                return body
-            return au.complement(
-                au.project(au.complement(body), f.var, self.state_cap))
         if isinstance(f, Call):
             return self._compile_call(f)
         raise CompileError(f"not a formula: {f!r}")
@@ -573,18 +567,18 @@ class Compiler:
 
 
 def _miniscope(f):
-    """An equivalent formula with every ``E`` scope narrowed, innermost
-    first: conjuncts of the body that do not mention the bound variable
-    move out of the scope, in their order, and an ``E`` whose variable is
-    unused is dropped.  Each existential's product then spans only the
-    tracks its own conjuncts use (early quantification).  ``A`` scopes
-    are kept as written."""
+    """An equivalent formula with each ``Av p`` rewritten as ``~Ev ~p`` and
+    every ``E`` scope narrowed, innermost first: conjuncts of the body that
+    do not mention the bound variable move out of the scope, in their
+    order, and an ``E`` whose variable is unused is dropped.  Each
+    existential's product then spans only the tracks its own conjuncts use
+    (early quantification); a rewritten ``A`` has one conjunct, ``~p``."""
     if isinstance(f, Not):
         return Not(_miniscope(f.body))
     if isinstance(f, (And, Or, Implies, Iff)):
         return type(f)(_miniscope(f.left), _miniscope(f.right))
     if isinstance(f, Forall):
-        return Forall(f.var, _miniscope(f.body))
+        return _miniscope(Not(Exists(f.var, Not(f.body))))
     if isinstance(f, Exists):
         inside, outside = [], []
         for c in _conjuncts(_miniscope(f.body)):
@@ -680,8 +674,11 @@ def run_script(source: str, dfao=None,
                 verdict = "n/a"
             else:
                 verdict = "TRUE" if not au.is_empty(machine) else "FALSE"
-        except (CompileError, au.StateLimitError, au.TrackMismatchError,
-                RecursionError) as exc:
+        except RecursionError:
+            raise ScriptError(f"{cmd.kind} {cmd.name} (line {cmd.line}): "
+                              f"formula nests too deeply") from None
+        except (CompileError, au.StateLimitError,
+                au.TrackMismatchError) as exc:
             raise ScriptError(
                 f"{cmd.kind} {cmd.name} (line {cmd.line}): {exc}") from exc
         elapsed = (time.perf_counter() - start) * 1000.0

@@ -1,5 +1,6 @@
 """Tests for the multi-track automaton algebra."""
 
+import itertools
 import random
 
 import pytest
@@ -270,6 +271,37 @@ def test_minimization_canonicity_randomized():
             {perm[q] for q in accepting}))
         assert clone.transitions == a.transitions
         assert clone.accepting == a.accepting
+
+
+def _assert_canonical(m):
+    assert au.to_compact_text(m) == au.to_compact_text(au.minimize(m))
+
+
+def test_rename_tracks_returns_canonical_machines():
+    rng = random.Random(1603)
+    tracks = ("x", "y", "z")
+    for _ in range(100):
+        m = random_machine(rng, tracks)
+        for perm in itertools.permutations(tracks):
+            _assert_canonical(au.rename_tracks(m, dict(zip(tracks, perm))))
+
+
+def test_operations_return_canonical_machines():
+    rng = random.Random(6641)
+    tracks = ("x", "y", "z")
+    for _ in range(60):
+        a = random_machine(rng, tracks)
+        b = random_machine(rng, tracks)
+        for schema in (("a", "x", "y", "z"), ("x", "xy", "y", "z"),
+                       ("x", "y", "z", "zz")):
+            _assert_canonical(au.align_tracks(a, schema))
+        for op in ("and", "or", "xor", "iff", "implies"):
+            _assert_canonical(au.product(a, b, op))
+        for track in tracks:
+            _assert_canonical(au.project(a, track))
+        _assert_canonical(au.complement(a))
+        _assert_canonical(au.zero_close(a))
+        _assert_canonical(au.run_reversed(a))
 
 
 def test_projection_respects_membership_randomized():

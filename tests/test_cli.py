@@ -204,13 +204,15 @@ def test_usage_errors_print_no_report(capsys, argv):
     assert "error:" in captured.err
 
 
-@pytest.mark.parametrize("source", [
-    'eval deep "Ex x = ' + "+".join(["1"] * 3000) + '":',
-    'eval deep "' + "(" * 3000 + "0=0" + ")" * 3000 + '":',
-    'eval deep "' + " & ".join(["0=0"] * 3000) + '":',
-    'check deep "0=0":',
+@pytest.mark.parametrize("source, message", [
+    ('eval deep "Ex x = ' + "+".join(["1"] * 3000) + '":',
+     "nests too deeply"),
+    ('eval deep "' + "(" * 3000 + "0=0" + ")" * 3000 + '":',
+     "nests too deeply"),
+    ('eval deep "' + " & ".join(["0=0"] * 3000) + '":', "nests too deeply"),
+    ('check deep "0=0":', "expected 'def' or 'eval'"),
 ], ids=["deep-sum", "deep-parentheses", "deep-conjunction", "bad-keyword"])
-def test_script_failures_exit_2(tmp_path, capsys, source):
+def test_script_failures_exit_2(tmp_path, capsys, source, message):
     script = tmp_path / "script.wal"
     script.write_text(source + "\n")
     expected = tmp_path / "script.expected"
@@ -219,6 +221,7 @@ def test_script_failures_exit_2(tmp_path, capsys, source):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "(line 1" in err
     assert "Traceback" not in err
+    assert message in err
 
 
 def test_count_rejects_bad_bounds(capsys):

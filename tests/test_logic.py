@@ -231,6 +231,14 @@ def test_call_with_sum_argument():
             assert au.accepts(machine, [i, j]) == (i + 1 < j)
 
 
+def test_call_with_permuted_arguments_is_canonical():
+    # The renamed machine must be byte-identical to the directly compiled
+    # one, not merely equivalent.
+    report = run_script('def f "x<y & y+1=z":\neval r "$f(x,z,y)":')
+    assert au.to_compact_text(report.result("r").automaton) \
+        == au.to_compact_text(compile_formula("x<z & z+1=y"))
+
+
 def test_call_with_constant_arguments():
     env = logic.PredicateEnv()
     env.bind("less", ("x", "y"), au.base_lt())

@@ -8,6 +8,7 @@ from tmprover import automata as au
 from tmprover import cli, logic
 
 SNAPSHOT_DIR = pathlib.Path(__file__).resolve().parents[1] / "snapshots"
+FIXTURES = pathlib.Path(cli.__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +26,16 @@ def test_compact_snapshot_bit_exact(machines, name):
 def test_dot_snapshot_bit_exact(machines, name):
     regenerated = au.export_dot(machines[name], "msd")
     assert regenerated == (SNAPSHOT_DIR / f"{name}.dot").read_text()
+
+
+@pytest.mark.parametrize("name", ("paper_thm1", "paper_thm2", "paper_count"))
+def test_prove_out_snapshot_bit_exact(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.out"
+    code = cli.main(["--out", str(out), "prove", str(FIXTURES / f"{name}.wal"),
+                     "--expected", str(FIXTURES / f"{name}.expected")])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_text() == (SNAPSHOT_DIR / f"{name}.out").read_text()
 
 
 def test_snapshot_roundtrip_language(machines):
