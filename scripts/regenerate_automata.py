@@ -3,9 +3,11 @@
 
 Writes the canonical compact text form (LSD convention, the engine's
 internal one) and an MSD DOT rendering for each of the four pattern
-predicates, and the ``prove --out`` block of each shipped proof script.
-Output is deterministic, so a clean checkout regenerates byte-identical
-files; tests/test_snapshots.py enforces that.
+predicates, the ``prove --out`` block of each shipped proof script, and
+the ``--out`` blocks of ``count 64`` and ``classify 2 3``.  Output is
+deterministic, so a clean checkout regenerates byte-identical files;
+tests/test_snapshots.py enforces that for all but the ``count`` block,
+and CI's ``git diff --exit-code snapshots/`` for all of them.
 """
 
 import contextlib
@@ -20,6 +22,13 @@ from tmprover import cli  # noqa: E402
 
 FIXTURES = pathlib.Path(cli.__file__).parent / "fixtures"
 PROOF_SCRIPTS = ("paper_thm1", "paper_thm2", "paper_count")
+# Snapshot name -> command line whose --out block it holds.
+OUT_BLOCKS = {
+    **{name: ["prove", str(FIXTURES / f"{name}.wal"), "--expected",
+              str(FIXTURES / f"{name}.expected")] for name in PROOF_SCRIPTS},
+    "count_64": ["count", "64"],
+    "classify_2_3": ["classify", "2", "3"],
+}
 
 
 def main():
@@ -32,17 +41,15 @@ def main():
         (out_dir / f"{name}.dot").write_text(au.export_dot(machine, "msd"))
         print(f"{name}: {machine.num_states} states (lsd), "
               f"dot rendered msd-first")
-    for name in PROOF_SCRIPTS:
+    for name, argv in OUT_BLOCKS.items():
         out = out_dir / f"{name}.out"
         # The human-readable report carries timings; only --out is kept.
         with contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["--out", str(out), "prove",
-                             str(FIXTURES / f"{name}.wal"), "--expected",
-                             str(FIXTURES / f"{name}.expected")])
+            code = cli.main(["--out", str(out)] + argv)
         if code != 0:
-            print(f"{name}: prove exited {code}", file=sys.stderr)
+            print(f"{name}: {argv[0]} exited {code}", file=sys.stderr)
             return code
-        print(f"{name}: prove --out block written")
+        print(f"{name}: {argv[0]} --out block written")
     return 0
 
 

@@ -11,7 +11,12 @@ track ``i`` (tracks are kept sorted by name).  Given canonical machines
 (deterministic, complete, minimal, zero-closed, BFS-numbered), every public
 operation returns one, so equal languages over equal tracks yield identical
 automata and no caller canonicalizes again: ``complement`` just flips the
-accepting set, and ``rename_tracks``/``align_tracks`` renumber BFS.
+accepting set, and a ``rename_tracks`` that only permutes tracks renumbers
+BFS.  ``product`` reads the sorted union of its operands' tracks, and a
+name that occurs twice reads one digit on every track that has it: a
+``rename_tracks`` that maps two tracks to one name merges them (and
+minimizes, since a merged machine need not be minimal), and the base
+machines accept a repeated track name.
 """
 
 from __future__ import annotations
@@ -179,11 +184,29 @@ def zero_close(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return result
 
 
+def _reread(a: MultiTrackAutomaton, names, schema) -> tuple:
+    """Transition rows of ``a`` over the symbols of the sorted ``schema``,
+    where track i of ``a`` reads schema track ``names[i]``.  A name that
+    occurs twice reads one digit on every track that has it; schema tracks
+    no name maps to are unconstrained."""
+    if tuple(names) == schema:
+        return a.transitions
+    positions = [schema.index(name) for name in names]
+    reads = []
+    for sym in range(1 << len(schema)):
+        old = 0
+        for i, p in enumerate(positions):
+            if sym >> p & 1:
+                old |= 1 << i
+        reads.append(old)
+    return tuple([row[old] for old in reads] for row in a.transitions)
+
+
 def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
             op: str, state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
-    """Pointwise boolean combination of two automata on identical tracks."""
-    if a.tracks != b.tracks:
-        raise TrackMismatchError(f"track mismatch: {a.tracks} vs {b.tracks}")
+    """Pointwise boolean combination of two automata, on the sorted union
+    of their tracks; a track only one operand has is unconstrained in the
+    other."""
     combine = {
         "and": lambda x, y: x and y,
         "or": lambda x, y: x or y,
@@ -191,9 +214,12 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
         "iff": lambda x, y: x == y,
         "implies": lambda x, y: (not x) or y,
     }[op]
+    schema = tuple(sorted(set(a.tracks) | set(b.tracks)))
+    rows_a = _reread(a, a.tracks, schema)
+    rows_b = _reread(b, b.tracks, schema)
     return minimize(_explore(
-        a.tracks, (a.initial, b.initial),
-        lambda key: zip(a.transitions[key[0]], b.transitions[key[1]]),
+        schema, (a.initial, b.initial),
+        lambda key: zip(rows_a[key[0]], rows_b[key[1]]),
         lambda key: combine(key[0] in a.accepting, key[1] in b.accepting),
         state_cap))
 
@@ -249,41 +275,19 @@ def project(a: MultiTrackAutomaton, track: str,
     return result
 
 
-def _reindex(a: MultiTrackAutomaton, tracks, positions) -> MultiTrackAutomaton:
-    """``a`` read over ``tracks``, where old track i sits at new position
-    ``positions[i]``; new tracks no old track maps to are unconstrained.
-    Permuted symbols keep a machine minimal, not BFS-numbered."""
-    reads = []
-    for sym in range(1 << len(tracks)):
-        old = 0
-        for i, p in enumerate(positions):
-            if sym >> p & 1:
-                old |= 1 << i
-        reads.append(old)
-    # A walk finds at most num_states states, so this cap is never reached.
-    return _explore(tracks, a.initial,
-                    lambda q: [a.transitions[q][old] for old in reads],
-                    a.accepting.__contains__, a.num_states)
-
-
 def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
-    """Rename tracks; the symbol bits are permuted to restore sorted order."""
-    new_names = [mapping.get(t, t) for t in a.tracks]
-    if len(set(new_names)) != len(new_names):
-        raise TrackMismatchError(f"rename collides: {new_names}")
-    tracks = sorted(new_names)
-    return _reindex(a, tracks, [tracks.index(t) for t in new_names])
-
-
-def align_tracks(a: MultiTrackAutomaton, schema) -> MultiTrackAutomaton:
-    """Embed into a larger sorted track schema; new tracks are unconstrained."""
-    schema = tuple(sorted(schema))
-    missing = set(a.tracks) - set(schema)
-    if missing:
-        raise TrackMismatchError(f"schema {schema} lacks tracks {missing}")
-    if schema == a.tracks:
-        return a
-    return _reindex(a, schema, [schema.index(t) for t in a.tracks])
+    """Rename tracks; tracks renamed alike merge into one, which reads the
+    same digit on each.  Permuted symbols keep a machine minimal, so it is
+    only renumbered breadth first; a merge may not, so it is minimized."""
+    names = [mapping.get(t, t) for t in a.tracks]
+    schema = tuple(sorted(set(names)))
+    rows = _reread(a, names, schema)
+    if len(schema) < len(names):
+        return minimize(MultiTrackAutomaton(schema, rows, a.initial,
+                                            a.accepting))
+    # A walk finds at most num_states states, so this cap is never reached.
+    return _explore(schema, a.initial, rows.__getitem__,
+                    a.accepting.__contains__, a.num_states)
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
@@ -298,9 +302,7 @@ def is_universal(a: MultiTrackAutomaton) -> bool:
 
 
 def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
-    schema = sorted(set(a.tracks) | set(b.tracks))
-    return is_empty(product(align_tracks(a, schema), align_tracks(b, schema),
-                            "xor"))
+    return is_empty(product(a, b, "xor"))
 
 
 def encode_values(values) -> list[int]:
@@ -351,11 +353,10 @@ def _build(tracks: dict, n_states: int, initial: int, accepting, step):
     """Small-machine helper: ``step(state, digits_by_role) -> state``.
 
     ``tracks`` maps role name -> track name; the resulting machine has its
-    tracks sorted by name as required.
+    tracks sorted by name as required; roles on the same track read its
+    one digit.
     """
-    names = sorted(tracks.values())
-    if len(set(names)) != len(names):
-        raise TrackMismatchError(f"duplicate track names: {names}")
+    names = sorted(set(tracks.values()))
     positions = {role: names.index(track) for role, track in tracks.items()}
     n_sym = 1 << len(names)
     trans = []
@@ -382,8 +383,6 @@ def comparison(left: str, right: str, op: str) -> MultiTrackAutomaton:
     """
     if op not in _CMP_ACCEPT:
         raise ValueError(f"unknown comparison {op!r}")
-    if left == right:
-        raise TrackMismatchError("comparison needs distinct tracks")
 
     def step(q, d):
         if d["l"] == d["r"]:
@@ -395,8 +394,6 @@ def comparison(left: str, right: str, op: str) -> MultiTrackAutomaton:
 
 def adder(x: str, y: str, z: str) -> MultiTrackAutomaton:
     """x + y = z; the classic 2-state LSD carry machine (plus sink)."""
-    if len({x, y, z}) != 3:
-        raise TrackMismatchError("adder needs three distinct tracks")
 
     def step(q, d):
         if q == 2:
@@ -483,8 +480,6 @@ def seq_pair(dfao: Dfao, u: str, v: str, op: str) -> MultiTrackAutomaton:
     """Machine for  seq[u] op seq[v]  with op in {=, !=}."""
     if op not in ("=", "!="):
         raise ValueError("sequence comparison supports = and != only")
-    if u == v:
-        return universal((u,)) if op == "=" else empty((u,))
     n = len(dfao.output)
     states = [(a, b) for a in range(n) for b in range(n)]
     index = {s: i for i, s in enumerate(states)}

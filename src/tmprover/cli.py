@@ -68,10 +68,11 @@ def _load_expectations(path: str) -> dict[str, str]:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            name, _, verdict = line.partition("=")
-            if not _ or verdict not in ("TRUE", "FALSE", "n/a"):
+            name, eq, verdict = (part.strip() for part in line.partition("="))
+            if (not eq or not name or name in expectations
+                    or verdict not in ("TRUE", "FALSE", "n/a")):
                 raise ValueError(f"bad expectation line: {raw.rstrip()}")
-            expectations[name.strip()] = verdict.strip()
+            expectations[name] = verdict
     return expectations
 
 

@@ -8,7 +8,8 @@ decide predicates over natural numbers with Thue-Morse indexing:
     eval NAME VAR "FORMULA":      (counting form: VAR is the parameter)
     # comment, to end of line, anywhere
 
-Command names and VAR follow the identifier rule (lowercase first).
+Command names and VAR follow the identifier rule (lowercase first), and
+no two commands of a script share a name.
 
 Formulas:  quantifiers ``A``/``E`` with comma-separated variables, the
 connectives ``~ & | => <=>``, comparisons ``= != < <= > >=``, addition,
@@ -417,7 +418,8 @@ class Command:
 def parse_script(source: str) -> list[Command]:
     """Commands ``def|eval NAME [VAR] "FORMULA":``, read by the formula
     lexer and parser in one pass; ``#`` comments run to end of line, and
-    error positions are the script's own lines and columns."""
+    error positions are the script's own lines and columns.  Each command
+    has its own name: reports and expectations are keyed by it."""
     parser = _Parser(tokenize(source))
     commands = []
     while parser.peek().kind != "EOF":
@@ -425,7 +427,11 @@ def parse_script(source: str) -> list[Command]:
         if keyword.kind != "NAME" or keyword.value not in ("def", "eval"):
             parser.fail(f"expected 'def' or 'eval', found {keyword.value!r}")
         parser.next()
-        name = parser.expect("NAME").value
+        name_tok = parser.expect("NAME")
+        name = name_tok.value
+        if any(c.name == name for c in commands):
+            raise ParseError(f"command name {name!r} is already used",
+                             name_tok.line, name_tok.col)
         count_var = None
         if keyword.value == "eval" and parser.peek().kind == "NAME":
             count_var = parser.next().value
@@ -487,33 +493,20 @@ class Compiler:
         if isinstance(term, Sum):
             a = self._name(term.left, defs)
             b = self._name(term.right, defs)
-            if a == b:
-                b = self._copy(b, defs)
             out = self._fresh()
             defs.append((out, au.adder(a, b, out)))
             return out
         raise CompileError(f"not a term: {term!r}")
-
-    def _copy(self, track, defs) -> str:
-        """A fresh track tied equal to ``track``, for a machine that needs
-        the same value on two distinct tracks."""
-        v = self._fresh()
-        defs.append((v, au.comparison(v, track, "=")))
-        return v
 
     def _bind(self, machine, defs):
         """Conjoin each definition and project its fresh track at once,
         latest first.  Exact: each fresh track is defined by one machine
         and used only by entries created after it."""
         for track, definition in reversed(defs):
-            machine = au.project(self._combine(machine, definition, "and"),
-                                 track, self.state_cap)
+            machine = au.project(
+                au.product(machine, definition, "and", self.state_cap),
+                track, self.state_cap)
         return machine
-
-    def _combine(self, left, right, op):
-        schema = sorted(set(left.tracks) | set(right.tracks))
-        return au.product(au.align_tracks(left, schema),
-                          au.align_tracks(right, schema), op, self.state_cap)
 
     def compile(self, f) -> au.MultiTrackAutomaton:
         """Compile a miniscoped formula to a canonical automaton on its
@@ -522,12 +515,7 @@ class Compiler:
             defs = []
             a = self._name(f.left, defs)
             b = self._name(f.right, defs)
-            if a == b:
-                core = (au.universal((a,)) if f.op in ("=", "<=", ">=")
-                        else au.empty((a,)))
-            else:
-                core = au.comparison(a, b, f.op)
-            return self._bind(core, defs)
+            return self._bind(au.comparison(a, b, f.op), defs)
         if isinstance(f, SeqCompare):
             defs = []
             u = self._name(f.left, defs)
@@ -540,8 +528,8 @@ class Compiler:
             return au.complement(self.compile(f.body))
         if isinstance(f, (And, Or, Implies, Iff)):
             op = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-            return self._combine(self.compile(f.left), self.compile(f.right),
-                                 op)
+            return au.product(self.compile(f.left), self.compile(f.right),
+                              op, self.state_cap)
         if isinstance(f, Exists):
             # _miniscope has dropped every E whose body does not use its
             # variable, so the body always has the track.
@@ -556,13 +544,10 @@ class Compiler:
             raise CompileError(
                 f"{call.name!r} takes {len(params)} arguments "
                 f"({', '.join(params)}), got {len(call.args)}")
+        # A variable passed twice merges the tracks of its parameters.
         defs = []
-        mapping = {}
-        for param, arg in zip(params, call.args):
-            target = self._name(arg, defs)
-            if target in mapping.values():
-                target = self._copy(target, defs)
-            mapping[param] = target
+        mapping = {param: self._name(arg, defs)
+                   for param, arg in zip(params, call.args)}
         return self._bind(au.rename_tracks(stored, mapping), defs)
 
 

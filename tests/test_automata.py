@@ -141,15 +141,51 @@ def test_projection_soundness_on_base_relations():
                 assert au.accepts(rel, [x, witness_ok(x)])
 
 
-def test_align_then_project_roundtrip():
+def test_widen_then_project_roundtrip():
     lt = au.base_lt()
-    widened = au.align_tracks(lt, ("x", "y", "z"))
+    widened = au.product(lt, au.universal(("z",)), "and")
+    assert widened.tracks == ("x", "y", "z")
     assert au.equivalent(au.project(widened, "z"), lt)
 
 
-def test_align_requires_superset():
-    with pytest.raises(au.TrackMismatchError):
-        au.align_tracks(au.base_lt(), ("x", "z"))
+def test_product_over_differing_tracks_pointwise():
+    rng = random.Random(2351)
+    for _ in range(40):
+        a = random_machine(rng, ("x", "y"), max_states=4)
+        b = random_machine(rng, ("y", "z"), max_states=4)
+        both = au.product(a, b, "and")
+        either = au.product(a, b, "or")
+        assert both.tracks == either.tracks == ("x", "y", "z")
+        for x, y, z in itertools.product(range(6), repeat=3):
+            in_a, in_b = au.accepts(a, [x, y]), au.accepts(b, [y, z])
+            assert au.accepts(both, [x, y, z]) == (in_a and in_b)
+            assert au.accepts(either, [x, y, z]) == (in_a or in_b)
+
+
+def test_rename_merging_tracks_pointwise():
+    rng = random.Random(2312)
+    for _ in range(60):
+        m = random_machine(rng, ("x", "y", "z"))
+        merged = au.rename_tracks(m, {"y": "x"})
+        assert merged.tracks == ("x", "z")
+        for x, z in itertools.product(range(12), repeat=2):
+            assert au.accepts(merged, [x, z]) == au.accepts(m, [x, x, z])
+
+
+@pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+def test_comparison_on_one_track(op):
+    reflexive = op in ("=", "<=", ">=")
+    want = au.universal(("x",)) if reflexive else au.empty(("x",))
+    assert au.to_compact_text(au.comparison("x", "x", op)) == \
+        au.to_compact_text(want)
+
+
+def test_adder_with_repeated_summand():
+    double = au.adder("x", "x", "z")
+    assert double.tracks == ("x", "z")
+    for x in range(32):
+        for z in range(70):
+            assert au.accepts(double, [x, z]) == (z == 2 * x)
 
 
 def test_rename_swapping_tracks():
@@ -292,11 +328,13 @@ def test_operations_return_canonical_machines():
     for _ in range(60):
         a = random_machine(rng, tracks)
         b = random_machine(rng, tracks)
-        for schema in (("a", "x", "y", "z"), ("x", "xy", "y", "z"),
-                       ("x", "y", "z", "zz")):
-            _assert_canonical(au.align_tracks(a, schema))
+        c = random_machine(rng, ("w", "y"))
         for op in ("and", "or", "xor", "iff", "implies"):
             _assert_canonical(au.product(a, b, op))
+            _assert_canonical(au.product(a, c, op))
+        for mapping in ({"y": "x"}, {"x": "z", "y": "z"}, {"x": "a", "y": "a"},
+                        {"x": "y", "z": "y"}):
+            _assert_canonical(au.rename_tracks(a, mapping))
         for track in tracks:
             _assert_canonical(au.project(a, track))
         _assert_canonical(au.complement(a))

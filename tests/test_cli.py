@@ -224,6 +224,41 @@ def test_script_failures_exit_2(tmp_path, capsys, source, message):
     assert message in err
 
 
+def test_prove_rejects_reused_command_name(tmp_path, capsys):
+    # Verdicts and expectations are keyed by name: with the name reused,
+    # the check would read one command and the report show the other.
+    script = tmp_path / "reused.wal"
+    script.write_text('eval a "0=0":\neval a "0=1":\n')
+    expected = tmp_path / "reused.expected"
+    expected.write_text("a=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'a' is already used (line 2, column 6)" in captured.err
+
+
+def _prove_one_eval(tmp_path, expected_text):
+    script = tmp_path / "one.wal"
+    script.write_text('eval a "0=0":\n')
+    expected = tmp_path / "one.expected"
+    expected.write_text(expected_text)
+    return run_cli("prove", script, "--expected", expected)
+
+
+def test_expectation_line_is_stripped(tmp_path, capsys):
+    assert _prove_one_eval(tmp_path, "a = TRUE\n") == 0
+    assert machine_section(capsys.readouterr().out)["expected.a"] == "TRUE"
+
+
+@pytest.mark.parametrize("text", ["=TRUE\n", "a=TRUE\na=FALSE\n"],
+                         ids=["empty-name", "repeated-name"])
+def test_bad_expectation_lines_exit_2(tmp_path, capsys, text):
+    assert _prove_one_eval(tmp_path, text) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: bad expectation line" in captured.err
+
+
 def test_count_rejects_bad_bounds(capsys):
     assert run_cli("count", 1) == 2
     assert run_cli("count", 99999) == 2

@@ -151,6 +151,16 @@ def test_command_name_follows_identifier_rule():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("source", [
+    'eval a "0=0":\neval a "0=1":\n',
+    'def a "x=0":\neval a "0=0":\n',
+], ids=["eval-eval", "def-eval"])
+def test_parse_script_rejects_reused_command_name(source):
+    with pytest.raises(ParseError, match="'a' is already used") as err:
+        parse_script(source)
+    assert (err.value.line, err.value.col) == (2, 6)
+
+
 def test_parse_script_errors():
     with pytest.raises(ParseError):
         parse_script('define x "y=0":')
