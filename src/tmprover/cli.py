@@ -119,8 +119,8 @@ def cmd_prove(args) -> int:
         if cmd.kind != "def":
             pairs[f"cmd.{cmd.name}.verdict"] = cmd.verdict
     for name, want in expectations.items():
-        have = next((c.verdict for c in report.commands
-                     if c.kind != "def" and c.name == name), "missing")
+        have = next((c.verdict for c in report.commands if c.name == name),
+                    "missing")
         pairs[f"expected.{name}"] = want
         if have != want:
             ok = False

@@ -8,8 +8,9 @@ decide predicates over natural numbers with Thue-Morse indexing:
     eval NAME VAR "FORMULA":      (counting form: VAR is the parameter)
     # comment, to end of line, anywhere
 
-Command names and VAR follow the identifier rule (lowercase first), and
-no two commands of a script share a name.
+Command names and VAR follow the identifier rule: an ASCII lowercase
+letter, then ASCII lowercase letters, digits or ``_``.  Numerals are ASCII
+digits.  No two commands of a script share a name.
 
 Formulas:  quantifiers ``A``/``E`` with comma-separated variables, the
 connectives ``~ & | => <=>``, comparisons ``= != < <= > >=``, addition,
@@ -23,11 +24,16 @@ parenthesis or formula.  ``Ak (k<n) => p`` therefore means
 
 Predicates are stored on their free variables in alphabetical order, and
 ``$name(...)`` binds arguments positionally to that order.
+
+A compiled machine's tracks are exactly its formula's free variables, so
+the compiler narrows each ``E`` scope by reading the tracks of its
+body's compiled conjuncts, and compiles ``Av p`` as ``~Ev ~p``.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 import time
 from dataclasses import dataclass, field
 
@@ -168,11 +174,18 @@ def free_vars(f) -> set[str]:
 # Lexer
 
 
-_TWO_CHAR = {"=>": "IMPLIES", "<=": "LE", ">=": "GE", "!=": "NE"}
-_ONE_CHAR = {"&": "AND", "|": "OR", "~": "NOT", "=": "EQ", "<": "LT",
-             ">": "GT", "+": "PLUS", "(": "LPAREN", ")": "RPAREN",
-             "[": "LBRACK", "]": "RBRACK", ",": "COMMA", "$": "DOLLAR",
-             '"': "QUOTE", ":": "COLON"}
+_OPS = {"<=>": "IFF", "=>": "IMPLIES", "<=": "LE", ">=": "GE", "!=": "NE",
+        "&": "AND", "|": "OR", "~": "NOT", "=": "EQ", "<": "LT", ">": "GT",
+        "+": "PLUS", "(": "LPAREN", ")": "RPAREN", "[": "LBRACK",
+        "]": "RBRACK", ",": "COMMA", "$": "DOLLAR", '"': "QUOTE",
+        ":": "COLON", "A": "A", "E": "E", "T": "T"}
+
+# Alternatives are tried in order: operators longest first, so "<=>" is
+# never read as "<=" then ">".  [^\S\n] is the set of str.isspace less "\n".
+_TOKEN = re.compile(
+    r"(?P<SKIP>[^\S\n]+|#[^\n]*)|(?P<NEWLINE>\n)"
+    r"|(?P<OP>" + "|".join(map(re.escape, sorted(_OPS, key=len, reverse=True)))
+    + r")|(?P<INT>[0-9]+)|(?P<NAME>[a-z][a-z0-9_]*)|(?P<EOF>\Z)|(?P<BAD>.)")
 
 
 @dataclass(frozen=True)
@@ -184,68 +197,20 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """Tokens of ``text``, ending with ``EOF``.  Names and numerals are
+    ASCII; ``#`` starts a comment to end of line."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch == "#":  # comment to end of line
-            end = text.find("\n", i)
-            end = n if end == -1 else end
-            col += end - i
-            i = end
-            continue
-        start_col = col
-        if text.startswith("<=>", i):
-            tokens.append(Token("IFF", "<=>", line, start_col))
-            i += 3
-            col += 3
-            continue
-        if text[i:i + 2] in _TWO_CHAR:
-            tokens.append(Token(_TWO_CHAR[text[i:i + 2]], text[i:i + 2],
-                                line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token(_ONE_CHAR[ch], ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch in "AET":
-            tokens.append(Token(ch, ch, line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("INT", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() and ch.islower():
-            j = i
-            while j < n and (text[j].isalnum() and not text[j].isupper()
-                             or text[j] == "_"):
-                j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, start_col)
-    tokens.append(Token("EOF", "", line, col))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        col = m.start() - line_start + 1
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {value!r}", line, col)
+        if kind == "NEWLINE":
+            line, line_start = line + 1, m.end()
+        elif kind != "SKIP":
+            tokens.append(Token(_OPS[value] if kind == "OP" else kind, value,
+                                line, col))
     return tokens
 
 
@@ -509,8 +474,8 @@ class Compiler:
         return machine
 
     def compile(self, f) -> au.MultiTrackAutomaton:
-        """Compile a miniscoped formula to a canonical automaton on its
-        free variables (tracks sorted by name); it has no ``A``."""
+        """Compile ``f`` to a canonical automaton on its free variables
+        (tracks sorted by name)."""
         if isinstance(f, Compare):
             defs = []
             a = self._name(f.left, defs)
@@ -526,17 +491,40 @@ class Compiler:
             return self._bind(core, defs)
         if isinstance(f, Not):
             return au.complement(self.compile(f.body))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            op = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
+        if isinstance(f, (And, Exists)):
+            return self._conjoin(self._conjuncts(f))
+        if isinstance(f, Forall):
+            return au.complement(self.compile(Exists(f.var, Not(f.body))))
+        if isinstance(f, (Or, Implies, Iff)):
+            op = {Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
             return au.product(self.compile(f.left), self.compile(f.right),
                               op, self.state_cap)
-        if isinstance(f, Exists):
-            # _miniscope has dropped every E whose body does not use its
-            # variable, so the body always has the track.
-            return au.project(self.compile(f.body), f.var, self.state_cap)
         if isinstance(f, Call):
             return self._compile_call(f)
         raise CompileError(f"not a formula: {f!r}")
+
+    def _conjuncts(self, f) -> list[au.MultiTrackAutomaton]:
+        """The compiled conjuncts of ``f``, in order.  ``Ev body`` keeps the
+        body's conjuncts whose machine lacks track ``v`` outside, in their
+        order, and appends the projection of the others' conjunction: each
+        existential's product spans only the tracks its own conjuncts use
+        (early quantification), and an ``E`` whose variable is unused
+        projects nothing."""
+        if isinstance(f, And):
+            return self._conjuncts(f.left) + self._conjuncts(f.right)
+        if isinstance(f, Exists):
+            inside, outside = [], []
+            for m in self._conjuncts(f.body):
+                (inside if f.var in m.tracks else outside).append(m)
+            if inside:
+                outside.append(au.project(self._conjoin(inside), f.var,
+                                          self.state_cap))
+            return outside
+        return [self.compile(f)]
+
+    def _conjoin(self, machines) -> au.MultiTrackAutomaton:
+        return functools.reduce(
+            lambda a, b: au.product(a, b, "and", self.state_cap), machines)
 
     def _compile_call(self, call: Call) -> au.MultiTrackAutomaton:
         params, stored = self.env.lookup(call.name)
@@ -551,42 +539,13 @@ class Compiler:
         return self._bind(au.rename_tracks(stored, mapping), defs)
 
 
-def _miniscope(f):
-    """An equivalent formula with each ``Av p`` rewritten as ``~Ev ~p`` and
-    every ``E`` scope narrowed, innermost first: conjuncts of the body that
-    do not mention the bound variable move out of the scope, in their
-    order, and an ``E`` whose variable is unused is dropped.  Each
-    existential's product then spans only the tracks its own conjuncts use
-    (early quantification); a rewritten ``A`` has one conjunct, ``~p``."""
-    if isinstance(f, Not):
-        return Not(_miniscope(f.body))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return type(f)(_miniscope(f.left), _miniscope(f.right))
-    if isinstance(f, Forall):
-        return _miniscope(Not(Exists(f.var, Not(f.body))))
-    if isinstance(f, Exists):
-        inside, outside = [], []
-        for c in _conjuncts(_miniscope(f.body)):
-            (inside if f.var in free_vars(c) else outside).append(c)
-        if inside:
-            outside.append(Exists(f.var, functools.reduce(And, inside)))
-        return functools.reduce(And, outside)
-    return f
-
-
-def _conjuncts(f) -> list:
-    if isinstance(f, And):
-        return _conjuncts(f.left) + _conjuncts(f.right)
-    return [f]
-
-
 def compile_formula(f, env=None, dfao=None,
                     state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
     """Canonical automaton of ``f`` on exactly its free variables (tracks
     sorted by name)."""
     if isinstance(f, str):
         f = parse_formula(f)
-    return Compiler(env, dfao, state_cap).compile(_miniscope(f))
+    return Compiler(env, dfao, state_cap).compile(f)
 
 
 def decide(f, env=None, dfao=None, state_cap=DEFAULT_STATE_CAP) -> bool:

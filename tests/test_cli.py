@@ -237,6 +237,34 @@ def test_prove_rejects_reused_command_name(tmp_path, capsys):
     assert "'a' is already used (line 2, column 6)" in captured.err
 
 
+@pytest.mark.parametrize("text, bad, col", [("x=\u00b2", "\u00b2", 11),
+                                             ("\u00e9=1", "\u00e9", 9),
+                                             ("x=\u0663", "\u0663", 11)],
+                         ids=["superscript-two", "e-acute", "arabic-three"])
+def test_non_ascii_formula_exits_2_with_position(tmp_path, capsys, text, bad,
+                                                 col):
+    script = tmp_path / "ascii.wal"
+    script.write_text(f'eval ok "0=0":\neval a "{text}":\n', encoding="utf-8")
+    expected = tmp_path / "ascii.expected"
+    expected.write_text("ok=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unexpected character {bad!r} (line 2, column {col})" \
+        in captured.err
+
+
+def test_prove_finds_a_def_named_in_the_expectations(tmp_path, capsys):
+    script = tmp_path / "def.wal"
+    script.write_text('def p "x<y":\neval a "0=0":\n')
+    expected = tmp_path / "def.expected"
+    expected.write_text("p=n/a\na=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 0
+    out = capsys.readouterr().out
+    assert "MISMATCH" not in out
+    assert machine_section(out)["expected.p"] == "n/a"
+
+
 def _prove_one_eval(tmp_path, expected_text):
     script = tmp_path / "one.wal"
     script.write_text('eval a "0=0":\n')

@@ -14,8 +14,8 @@ from formula_strategies import QUANT_BOUND, atoms, formulas
 from tmprover import automata as au
 from tmprover import logic
 from tmprover.logic import (
-    And, Call, Compare, CompileError, Exists, Forall, Iff, Implies, Not, Or,
-    ParseError, ScriptError, SeqCompare, Sum, Var,
+    And, Call, Compare, CompileError, Const, Exists, Forall, Iff, Implies,
+    Not, Or, ParseError, ScriptError, SeqCompare, Sum, Var,
     compile_formula, decide, parse_formula, parse_script, run_script,
 )
 
@@ -90,6 +90,36 @@ def test_parse_error_reports_position():
         parse_formula("x =\n* y")
     assert err.value.line == 2
     assert err.value.col == 1
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x\t<\ty", [("NAME", 1, 1), ("LT", 1, 3), ("NAME", 1, 5), ("EOF", 1, 6)]),
+    ("x<y\r\n&z", [("NAME", 1, 1), ("LT", 1, 2), ("NAME", 1, 3),
+                    ("AND", 2, 1), ("NAME", 2, 2), ("EOF", 2, 3)]),
+    ("x=1\n# end", [("NAME", 1, 1), ("EQ", 1, 2), ("INT", 1, 3),
+                    ("EOF", 2, 6)]),
+    ("a<=>b<=c=>d", [("NAME", 1, 1), ("IFF", 1, 2), ("NAME", 1, 5),
+                     ("LE", 1, 6), ("NAME", 1, 8), ("IMPLIES", 1, 9),
+                     ("NAME", 1, 11), ("EOF", 1, 12)]),
+    ("a<==>b", [("NAME", 1, 1), ("LE", 1, 2), ("IMPLIES", 1, 4),
+                ("NAME", 1, 6), ("EOF", 1, 7)]),
+    ("aT[x_1]", [("NAME", 1, 1), ("T", 1, 2), ("LBRACK", 1, 3),
+                 ("NAME", 1, 4), ("RBRACK", 1, 7), ("EOF", 1, 8)]),
+    ("xE 12ab", [("NAME", 1, 1), ("E", 1, 2), ("INT", 1, 4), ("NAME", 1, 6),
+                 ("EOF", 1, 8)]),
+], ids=["tabs", "crlf", "comment-at-end", "iff-le-implies", "le-then-implies",
+        "name-then-T", "name-then-E"])
+def test_token_positions(text, want):
+    assert [(t.kind, t.line, t.col) for t in logic.tokenize(text)] == want
+
+
+@pytest.mark.parametrize("text, col", [("x=\u00b2", 5), ("\u00e9=1", 3),
+                                       ("x=\u0663", 5)],
+                         ids=["superscript-two", "e-acute", "arabic-three"])
+def test_names_and_numerals_are_ascii(text, col):
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse_formula("0=0 &\n  " + text)
+    assert (err.value.line, err.value.col) == (2, col)
 
 
 def test_sums_right_nested():
@@ -298,12 +328,11 @@ def test_compiled_formula_matches_direct_evaluation(f):
             assert got == want, (f, values)
 
 
-# Random formulas with unguarded E blocks against their miniscoped form.
+# Random formulas with nested E and A scopes against direct evaluation.
 # An E body is a chain of conjuncts, some with the bound variable and some
-# without; a conjunct may itself be a disjunction.  Both forms are
-# evaluated directly, with quantifiers over [0, QUANT_BOUND): the rewrite
-# is an equivalence over any nonempty domain, so the truncated domain is
-# exact for it.
+# without, so the compiler narrows it; a conjunct may itself be a
+# disjunction or a further scope.  Every scope is guarded below
+# QUANT_BOUND, so direct evaluation over [0, QUANT_BOUND) is exact.
 
 SCOPE_VARS = ("z", "w", "u")
 
@@ -315,40 +344,35 @@ def _scoped_formulas(names, depth):
     sub = _scoped_formulas(names, depth - 1)
     z = SCOPE_VARS[len(names) - 2]
     inner = _scoped_formulas(names + (z,), depth - 1)
+    guard = st.integers(0, QUANT_BOUND).map(
+        lambda c: Compare(Var(z), "<", Const(c)))
     chain = st.lists(inner | sub, min_size=1, max_size=4).map(
         lambda cs: functools.reduce(And, cs))
     return st.one_of(
         atom, st.builds(Not, sub),
         st.builds(lambda op, a, b: op(a, b),
                   st.sampled_from([And, Or, Implies, Iff]), sub, sub),
-        chain.map(lambda body: Exists(z, body)),
-        inner.map(lambda body: Forall(z, body)))
-
-
-def _exists_scopes(f):
-    if isinstance(f, Exists):
-        yield f
-    for child in (getattr(f, a, None) for a in ("body", "left", "right")):
-        if child is not None:
-            yield from _exists_scopes(child)
+        st.builds(lambda g, body: Exists(z, And(g, body)), guard, chain),
+        st.builds(lambda g, body: Forall(z, Implies(g, body)), guard, inner))
 
 
 @given(_scoped_formulas(("x", "y"), 3))
 @settings(max_examples=300, deadline=None)
-def test_miniscope_preserves_truth(f):
-    g = logic._miniscope(f)
-    assert logic.free_vars(g) == logic.free_vars(f)
-    for node in _exists_scopes(g):
-        # Every E scope is narrow: each conjunct of its body mentions the
-        # bound variable.
-        assert all(node.var in logic.free_vars(c)
-                   for c in logic._conjuncts(node.body)), node
+def test_narrowed_scopes_match_direct_evaluation(f):
+    # A conjunct that reads the bound variable but is kept outside its
+    # scope, or a scope whose variable is never projected, leaves that
+    # variable's track on the machine.
+    env = logic.PredicateEnv()
+    env.bind("lt", ("x", "y"), au.base_lt())
+    machine = compile_formula(f, env)
+    assert machine.tracks == tuple(sorted(logic.free_vars(f)))
     lt = {"lt": lambda a, b: a < b}
     for x in range(8):
         for y in range(8):
             values = {"x": x, "y": y}
-            assert brute.holds(g, values, lt, QUANT_BOUND) \
-                == brute.holds(f, values, lt, QUANT_BOUND), (f, g, values)
+            want = brute.holds(f, values, lt, QUANT_BOUND)
+            got = au.accepts(machine, [values[t] for t in machine.tracks])
+            assert got == want, (f, values)
 
 
 def test_chain_sentences_fit_a_small_cap():
