@@ -34,12 +34,6 @@ class TrackMismatchError(Exception):
     """Operands disagree on track names where agreement is required."""
 
 
-@dataclass(frozen=True)
-class TrackId:
-    name: str
-    index: int
-
-
 class MultiTrackAutomaton:
     """Deterministic complete acceptor over tuples of binary digits."""
 
@@ -202,18 +196,23 @@ def _reread(a: MultiTrackAutomaton, names, schema) -> tuple:
     return tuple([row[old] for old in reads] for row in a.transitions)
 
 
+_COMBINE = {
+    "and": lambda x, y: x and y,
+    "or": lambda x, y: x or y,
+    "xor": lambda x, y: x != y,
+    "iff": lambda x, y: x == y,
+    "implies": lambda x, y: (not x) or y,
+}
+
+
 def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
             op: str, state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
     """Pointwise boolean combination of two automata, on the sorted union
     of their tracks; a track only one operand has is unconstrained in the
     other."""
-    combine = {
-        "and": lambda x, y: x and y,
-        "or": lambda x, y: x or y,
-        "xor": lambda x, y: x != y,
-        "iff": lambda x, y: x == y,
-        "implies": lambda x, y: (not x) or y,
-    }[op]
+    if op not in _COMBINE:
+        raise ValueError(f"unknown boolean operator {op!r}")
+    combine = _COMBINE[op]
     schema = tuple(sorted(set(a.tracks) | set(b.tracks)))
     rows_a = _reread(a, a.tracks, schema)
     rows_b = _reread(b, b.tracks, schema)
@@ -297,39 +296,23 @@ def is_empty(a: MultiTrackAutomaton) -> bool:
                         a.accepting.__contains__, a.num_states).accepting
 
 
-def is_universal(a: MultiTrackAutomaton) -> bool:
-    return is_empty(complement(a))
-
-
 def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
     return is_empty(product(a, b, "xor"))
 
 
-def encode_values(values) -> list[int]:
-    """Pack naturals into LSD-first tuple symbols, as many as the longest
-    value has bits."""
-    if any(v < 0 for v in values):
-        raise ValueError("values must be nonnegative")
-    width = max([v.bit_length() for v in values] + [0])
-    symbols = []
-    for k in range(width):
-        sym = 0
-        for i, v in enumerate(values):
-            if v >> k & 1:
-                sym |= 1 << i
-        symbols.append(sym)
-    return symbols
-
-
 def accepts(a: MultiTrackAutomaton, values) -> bool:
-    """Membership of a value tuple (one natural per track)."""
+    """Membership of a value tuple (one natural per track), read LSD
+    first for as many digits as the longest value has."""
     values = list(values)
     if len(values) != a.arity:
         raise TrackMismatchError(
             f"need {a.arity} values for tracks {a.tracks}, got {len(values)}")
+    if any(v < 0 for v in values):
+        raise ValueError("values must be nonnegative")
     q = a.initial
-    for sym in encode_values(values):
-        q = a.transitions[q][sym]
+    for k in range(max([v.bit_length() for v in values] + [0])):
+        q = a.transitions[q][sum((v >> k & 1) << i
+                                 for i, v in enumerate(values))]
     return q in a.accepting
 
 
@@ -422,28 +405,10 @@ def constant(value: int, track: str) -> MultiTrackAutomaton:
     return _build({"v": track}, n + 2, 0, {n}, step)
 
 
-def universal(tracks=()) -> MultiTrackAutomaton:
-    names = tuple(sorted(tracks))
-    n_sym = 1 << len(names)
-    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, {0})
-
-
 def empty(tracks=()) -> MultiTrackAutomaton:
     names = tuple(sorted(tracks))
     n_sym = 1 << len(names)
     return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, set())
-
-
-def base_eq() -> MultiTrackAutomaton:
-    return comparison("x", "y", "=")
-
-
-def base_lt() -> MultiTrackAutomaton:
-    return comparison("x", "y", "<")
-
-
-def base_add() -> MultiTrackAutomaton:
-    return adder("x", "y", "z")
 
 
 # ---------------------------------------------------------------------------
@@ -476,38 +441,15 @@ def tm_dfao() -> Dfao:
     return Dfao(((0, 1), (1, 0)), 0, (0, 1))
 
 
-def seq_pair(dfao: Dfao, u: str, v: str, op: str) -> MultiTrackAutomaton:
-    """Machine for  seq[u] op seq[v]  with op in {=, !=}."""
-    if op not in ("=", "!="):
-        raise ValueError("sequence comparison supports = and != only")
-    n = len(dfao.output)
-    states = [(a, b) for a in range(n) for b in range(n)]
-    index = {s: i for i, s in enumerate(states)}
-
-    def step(q, d):
-        a, b = states[q]
-        return index[(dfao.transitions[a][d["u"]], dfao.transitions[b][d["v"]])]
-
-    want = (lambda a, b: a == b) if op == "=" else (lambda a, b: a != b)
-    accepting = {index[(a, b)] for a in range(n) for b in range(n)
-                 if want(dfao.output[a], dfao.output[b])}
-    return _build({"u": u, "v": v}, len(states), index[(dfao.initial,) * 2],
-                  accepting, step)
-
-
-def seq_const(dfao: Dfao, u: str, bit: int, op: str) -> MultiTrackAutomaton:
-    """Machine for  seq[u] op bit  with op in {=, !=}."""
-    if op not in ("=", "!="):
-        raise ValueError("sequence comparison supports = and != only")
+def seq_const(dfao: Dfao, u: str, bit: int) -> MultiTrackAutomaton:
+    """Machine for  seq[u] = bit: the DFAO read on track ``u``.  Every
+    sequence comparison is built from it, ``seq[u] = seq[v]`` as the
+    ``iff`` product of ``seq[u] = 1`` and ``seq[v] = 1``."""
     if bit not in (0, 1):
         raise ValueError("sequence values are binary")
-
-    def step(q, d):
-        return dfao.transitions[q][d["u"]]
-
-    want = (lambda o: o == bit) if op == "=" else (lambda o: o != bit)
-    accepting = {q for q, o in enumerate(dfao.output) if want(o)}
-    return _build({"u": u}, len(dfao.output), dfao.initial, accepting, step)
+    accepting = {q for q, o in enumerate(dfao.output) if o == bit}
+    return minimize(MultiTrackAutomaton((u,), dfao.transitions, dfao.initial,
+                                        accepting))
 
 
 # ---------------------------------------------------------------------------

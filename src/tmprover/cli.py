@@ -106,7 +106,8 @@ def _counting_reps(state_cap: int, dfao=None):
 
 
 def cmd_prove(args) -> int:
-    script = open(args.script).read()
+    with open(args.script) as fh:
+        script = fh.read()
     expectations = _load_expectations(args.expected)
     report = logic.run_script(script, state_cap=args.state_cap)
     pairs = {}

@@ -48,10 +48,6 @@ class TmPrefix:
 
     bits: str
 
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
     def factor(self, start: int, length: int) -> str:
         if start < 0 or length < 1 or start + length > len(self.bits):
             raise ValueError(

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tmprover.automata import (
-    MultiTrackAutomaton, TrackId, _saturate, is_zero_closed, minimize,
+    MultiTrackAutomaton, _saturate, is_zero_closed, minimize,
 )
 
 
@@ -97,8 +97,8 @@ def evaluate(rep: LinearRepresentation, n: int):
 @dataclass(frozen=True)
 class CountingQuery:
     automaton: MultiTrackAutomaton
-    counted: TrackId
-    parameter: TrackId
+    counted: str
+    parameter: str
 
 
 def counting_query(machine: MultiTrackAutomaton, counted: str,
@@ -113,9 +113,7 @@ def counting_query(machine: MultiTrackAutomaton, counted: str,
         # encodings, only when padding zeros keep acceptance.
         raise ValueError("counting needs a zero-closed automaton")
     machine = minimize(machine)  # so every state is reachable
-    return CountingQuery(machine,
-                         TrackId(counted, machine.track_index(counted)),
-                         TrackId(parameter, machine.track_index(parameter)))
+    return CountingQuery(machine, counted, parameter)
 
 
 def _live_states(a: MultiTrackAutomaton):
@@ -134,7 +132,7 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
     of n yields the exact count.
     """
     a = query.automaton
-    ci, pi = query.counted.index, query.parameter.index
+    ci, pi = a.track_index(query.counted), a.track_index(query.parameter)
     live = _live_states(a)
     if not live or a.initial not in live:
         return LinearRepresentation((), ((), ()), (), msd_first=False)
@@ -306,9 +304,16 @@ def load_representation(text: str) -> LinearRepresentation:
             tokens.extend(line.split())
     if len(tokens) < 4 or tokens[0] != "order" or tokens[2] != "dim":
         raise ValueError("expected 'order <msd|lsd>' then 'dim <n>'")
-    msd = {"msd": True, "lsd": False}[tokens[1]]
+    if tokens[1] not in ("msd", "lsd"):
+        raise ValueError(f"order must be 'msd' or 'lsd', got {tokens[1]!r}")
+    msd = tokens[1] == "msd"
     dim = int(tokens[3])
-    numbers = [Fraction(t) for t in tokens[4:]]
+    if dim < 0:
+        raise ValueError(f"dim must be nonnegative, got {dim}")
+    try:
+        numbers = [Fraction(t) for t in tokens[4:]]
+    except ZeroDivisionError as exc:
+        raise ValueError(f"entry with a zero denominator: {exc}") from None
     need = dim + 2 * dim * dim + dim
     if len(numbers) != need:
         raise ValueError(f"expected {need} entries, found {len(numbers)}")

@@ -485,9 +485,14 @@ class Compiler:
             defs = []
             u = self._name(f.left, defs)
             if isinstance(f.right, int):
-                core = au.seq_const(self.dfao, u, f.right, f.op)
+                bit = f.right if f.op == "=" else 1 - f.right
+                core = au.seq_const(self.dfao, u, bit)
             else:
-                core = au.seq_pair(self.dfao, u, self._name(f.right, defs), f.op)
+                v = self._name(f.right, defs)
+                core = au.product(au.seq_const(self.dfao, u, 1),
+                                  au.seq_const(self.dfao, v, 1),
+                                  "iff" if f.op == "=" else "xor",
+                                  self.state_cap)
             return self._bind(core, defs)
         if isinstance(f, Not):
             return au.complement(self.compile(f.body))

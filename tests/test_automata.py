@@ -22,7 +22,7 @@ def random_machine(rng, tracks=("x",), max_states=5):
 
 
 def test_base_add_accepts_sums():
-    add = au.base_add()
+    add = au.adder("x", "y", "z")
     assert au.accepts(add, [3, 5, 8])
     assert au.accepts(add, [5, 6, 11])
     assert au.accepts(add, [0, 0, 0])
@@ -30,19 +30,21 @@ def test_base_add_accepts_sums():
 
 
 def test_base_lt_irreflexive():
-    lt = au.base_lt()
+    lt = au.comparison("x", "y", "<")
     assert not au.accepts(lt, [2, 2])
     assert au.accepts(lt, [2, 3])
     assert not au.accepts(lt, [3, 2])
 
 
 def test_eq_and_lt_disjoint():
-    both = au.product(au.base_eq(), au.base_lt(), "and")
+    both = au.product(au.comparison("x", "y", "="),
+                      au.comparison("x", "y", "<"), "and")
     assert au.is_empty(both)
 
 
 def test_le_from_union():
-    le = au.product(au.base_eq(), au.base_lt(), "or")
+    le = au.product(au.comparison("x", "y", "="),
+                    au.comparison("x", "y", "<"), "or")
     direct = au.comparison("x", "y", "<=")
     assert au.equivalent(le, direct)
 
@@ -58,7 +60,7 @@ def test_comparisons_pointwise(x, y):
 @given(st.integers(0, 300), st.integers(0, 300))
 @settings(max_examples=60)
 def test_adder_pointwise(x, y):
-    add = au.base_add()
+    add = au.adder("x", "y", "z")
     assert au.accepts(add, [x, y, x + y])
     assert not au.accepts(add, [x, y, x + y + 1])
 
@@ -81,18 +83,18 @@ def test_tm_dfao_matches_tm_bit():
 
 def test_adder_minimal_size():
     # Carry machine: two live states plus the completion sink.
-    add = au.base_add()
+    add = au.adder("x", "y", "z")
     assert add.num_states == 3
 
 
 def test_product_idempotent_and_contradiction():
-    lt = au.base_lt()
+    lt = au.comparison("x", "y", "<")
     assert au.equivalent(au.product(lt, lt, "and"), lt)
     assert au.is_empty(au.product(lt, au.complement(lt), "and"))
 
 
 def test_complement_involution_and_lt():
-    lt = au.base_lt()
+    lt = au.comparison("x", "y", "<")
     assert au.equivalent(au.complement(au.complement(lt)), lt)
     ge = au.complement(lt)
     for x in range(32):
@@ -101,15 +103,16 @@ def test_complement_involution_and_lt():
 
 
 def test_complement_of_empty_is_universal():
-    assert au.is_universal(au.complement(au.empty(("x",))))
+    assert au.is_empty(au.complement(au.complement(au.empty(("x",)))))
 
 
 def test_project_equality_gives_universal():
-    assert au.is_universal(au.project(au.base_eq(), "x"))
+    eq = au.comparison("x", "y", "=")
+    assert au.is_empty(au.complement(au.project(eq, "x")))
 
 
 def test_project_adder_totality():
-    assert au.is_universal(au.project(au.base_add(), "z"))
+    assert au.is_empty(au.complement(au.project(au.adder("x", "y", "z"), "z")))
 
 
 def test_project_smaller_side():
@@ -123,13 +126,13 @@ def test_project_saturation_needed():
     # exists x: y < x  is universal; the witness may need one digit more
     # than y, which only the zero-padding saturation can see.
     some_above = au.project(au.comparison("y", "x", "<"), "x")
-    assert au.is_universal(some_above)
+    assert au.is_empty(au.complement(some_above))
 
 
 def test_projection_soundness_on_base_relations():
-    lt = au.base_lt()
-    eq = au.base_eq()
-    slice_xz = au.project(au.base_add(), "y")  # x <= z
+    lt = au.comparison("x", "y", "<")
+    eq = au.comparison("x", "y", "=")
+    slice_xz = au.project(au.adder("x", "y", "z"), "y")  # x <= z
     for rel, witness_ok in ((lt, lambda x: x + 1), (eq, lambda x: x),
                             (slice_xz, lambda x: x)):
         tracks = rel.tracks
@@ -142,8 +145,8 @@ def test_projection_soundness_on_base_relations():
 
 
 def test_widen_then_project_roundtrip():
-    lt = au.base_lt()
-    widened = au.product(lt, au.universal(("z",)), "and")
+    lt = au.comparison("x", "y", "<")
+    widened = au.product(lt, au.complement(au.empty(("z",))), "and")
     assert widened.tracks == ("x", "y", "z")
     assert au.equivalent(au.project(widened, "z"), lt)
 
@@ -175,7 +178,9 @@ def test_rename_merging_tracks_pointwise():
 @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
 def test_comparison_on_one_track(op):
     reflexive = op in ("=", "<=", ">=")
-    want = au.universal(("x",)) if reflexive else au.empty(("x",))
+    want = au.empty(("x",))
+    if reflexive:
+        want = au.complement(want)
     assert au.to_compact_text(au.comparison("x", "x", op)) == \
         au.to_compact_text(want)
 
@@ -197,9 +202,10 @@ def test_rename_swapping_tracks():
 
 
 @pytest.mark.parametrize("construct", [
-    lambda: au.product(au.base_eq(), au.base_lt(), "and", state_cap=1),
-    lambda: au.project(au.base_add(), "z", state_cap=1),
-    lambda: au.run_reversed(au.base_lt(), state_cap=1),
+    lambda: au.product(au.comparison("x", "y", "="),
+                       au.comparison("x", "y", "<"), "and", state_cap=1),
+    lambda: au.project(au.adder("x", "y", "z"), "z", state_cap=1),
+    lambda: au.run_reversed(au.comparison("x", "y", "<"), state_cap=1),
 ], ids=["product", "project", "run_reversed"])
 def test_state_cap_enforced(construct):
     with pytest.raises(au.StateLimitError):
@@ -208,51 +214,55 @@ def test_state_cap_enforced(construct):
 
 def test_accepts_arity_checked():
     with pytest.raises(au.TrackMismatchError):
-        au.accepts(au.base_lt(), [1])
+        au.accepts(au.comparison("x", "y", "<"), [1])
+
+
+def test_accepts_rejects_negative_values():
+    with pytest.raises(ValueError, match="nonnegative"):
+        au.accepts(au.comparison("x", "y", "<"), [1, -2])
 
 
 def test_zero_closed_everywhere():
-    for m in (au.base_eq(), au.base_lt(), au.base_add(),
-              au.project(au.base_add(), "z"), au.complement(au.base_lt())):
+    lt, add = au.comparison("x", "y", "<"), au.adder("x", "y", "z")
+    for m in (au.comparison("x", "y", "="), lt, add, au.project(add, "z"),
+              au.complement(lt)):
         assert au.is_zero_closed(m)
 
 
-def test_seq_pair_parity_semantics():
-    eqm = au.seq_pair(au.tm_dfao(), "u", "v", "=")
-    nem = au.seq_pair(au.tm_dfao(), "u", "v", "!=")
-    for u in range(64):
-        for v in range(64):
-            same = tm_bit(u) == tm_bit(v)
-            assert au.accepts(eqm, [u, v]) == same
-            assert au.accepts(nem, [u, v]) == (not same)
-
-
 def test_seq_const_semantics():
-    m0 = au.seq_const(au.tm_dfao(), "u", 0, "=")
+    m0 = au.seq_const(au.tm_dfao(), "u", 0)
     for u in range(256):
         assert au.accepts(m0, [u]) == (tm_bit(u) == 0)
+    with pytest.raises(ValueError, match="binary"):
+        au.seq_const(au.tm_dfao(), "u", 2)
+
+
+def test_product_rejects_unknown_operator():
+    lt = au.comparison("x", "y", "<")
+    with pytest.raises(ValueError, match="'nand'"):
+        au.product(lt, lt, "nand")
 
 
 def test_export_dot_shapes():
-    dot = au.export_dot(au.universal(("x",)))
+    dot = au.export_dot(au.complement(au.empty(("x",))))
     assert dot.startswith("digraph {")
     assert "doublecircle" in dot
     assert dot.count("->") == 2  # init arrow plus single self-loop edge
 
 
 def test_export_msd_reverses_language():
-    eq = au.base_eq()
+    eq = au.comparison("x", "y", "=")
     rev = au.run_reversed(eq)
     # Equality encodings are palindromic-closed, so the reversal is equivalent.
     assert au.equivalent(rev, eq)
-    lt_rev = au.run_reversed(au.base_lt())
+    lt_rev = au.run_reversed(au.comparison("x", "y", "<"))
     lt_rev_rev = au.run_reversed(lt_rev)
-    assert au.equivalent(lt_rev_rev, au.base_lt())
+    assert au.equivalent(lt_rev_rev, au.comparison("x", "y", "<"))
 
 
 def test_compact_text_deterministic():
-    text1 = au.to_compact_text(au.base_add())
-    text2 = au.to_compact_text(au.base_add())
+    text1 = au.to_compact_text(au.adder("x", "y", "z"))
+    text2 = au.to_compact_text(au.adder("x", "y", "z"))
     assert text1 == text2
     assert text1.splitlines()[0] == "tracks x y z"
 

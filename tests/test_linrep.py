@@ -111,6 +111,16 @@ def test_load_rejects_malformed():
         load_representation("order msd\ndim 2\n1 2 3")
 
 
+@pytest.mark.parametrize("text,message", [
+    ("order lsd\ndim -1\n", "dim must be nonnegative"),
+    ("order foo\ndim 1\n1\n1\n1\n1\n", "order must be"),
+    ("order lsd\ndim 1\n1/0\n1\n1\n1\n", "zero denominator"),
+], ids=["negative-dim", "unknown-order", "zero-denominator"])
+def test_load_rejects_bad_values(text, message):
+    with pytest.raises(ValueError, match=message):
+        load_representation(text)
+
+
 def test_extraction_matches_tables(extracted):
     for n in range(15):
         assert evaluate(extracted["mab"], n) == F_TABLE[n], n
@@ -151,17 +161,19 @@ def test_extraction_of_empty_automaton():
 
 def test_noncountable_detected():
     # i unconstrained for every n: infinitely many counted values.
-    machine = au.universal(("i", "n"))
+    machine = au.complement(au.empty(("i", "n")))
     with pytest.raises(NoncountableError):
         extract_counting(counting_query(machine, "i", "n"))
-    lt = au.rename_tracks(au.base_lt(), {"x": "n", "y": "i"})  # n < i
+    lt = au.rename_tracks(au.comparison("x", "y", "<"),
+                          {"x": "n", "y": "i"})  # n < i
     with pytest.raises(NoncountableError):
         extract_counting(counting_query(lt, "i", "n"))
 
 
 def test_counting_bounded_relation():
     # i <= n has exactly n + 1 solutions.
-    le = au.product(au.base_eq(), au.base_lt(), "or")
+    le = au.product(au.comparison("x", "y", "="),
+                    au.comparison("x", "y", "<"), "or")
     le = au.rename_tracks(le, {"x": "i", "y": "n"})
     rep = extract_counting(counting_query(le, "i", "n"))
     for n in range(200):
@@ -170,9 +182,9 @@ def test_counting_bounded_relation():
 
 def test_counting_query_validation():
     with pytest.raises(ValueError):
-        counting_query(au.universal(("i",)), "i", "n")
+        counting_query(au.complement(au.empty(("i",))), "i", "n")
     with pytest.raises(ValueError):
-        counting_query(au.universal(("i", "n")), "i", "m")
+        counting_query(au.complement(au.empty(("i", "n"))), "i", "m")
 
 
 def test_subtract_and_scale():
@@ -338,7 +350,7 @@ def test_fixture_dump_is_the_file_body(name):
 
 def _counting_query(f):
     env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.base_lt())
+    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
     return counting_query(compile_formula(f, env), "i", "n")
 
 
@@ -430,8 +442,8 @@ def test_limit_loop_rejects_exactly_the_pumping_cycles(query):
         raised = False
     except NoncountableError:
         raised = True
-    assert raised == _pumps_counted_values(query.automaton,
-                                           query.counted.index)
+    a = query.automaton
+    assert raised == _pumps_counted_values(a, a.track_index(query.counted))
 
 
 def test_counting_query_rejects_machines_not_zero_closed():

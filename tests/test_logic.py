@@ -13,6 +13,7 @@ import brute_logic as brute
 from formula_strategies import QUANT_BOUND, atoms, formulas
 from tmprover import automata as au
 from tmprover import logic
+from tmprover.core import tm_bit
 from tmprover.logic import (
     And, Call, Compare, CompileError, Const, Exists, Forall, Iff, Implies,
     Not, Or, ParseError, ScriptError, SeqCompare, Sum, Var,
@@ -241,10 +242,27 @@ def test_decide_invariant_under_bound_renaming():
         assert decide(a) == decide(b)
 
 
+@pytest.mark.parametrize("formula,tracks,holds", [
+    ("T[u]=T[v]", ("u", "v"), lambda u, v: tm_bit(u) == tm_bit(v)),
+    ("T[u]!=T[v]", ("u", "v"), lambda u, v: tm_bit(u) != tm_bit(v)),
+    ("T[u]=0", ("u",), lambda u, v: tm_bit(u) == 0),
+    ("T[u]!=1", ("u",), lambda u, v: tm_bit(u) != 1),
+    ("T[u]=T[u]", ("u",), lambda u, v: True),
+    ("T[u+1]=T[v]", ("u", "v"), lambda u, v: tm_bit(u + 1) == tm_bit(v)),
+], ids=["eq", "ne", "eq0", "ne1", "self", "shifted"])
+def test_sequence_comparison_semantics(formula, tracks, holds):
+    m = compile_formula(formula)
+    assert m.tracks == tracks
+    for u in range(64):
+        for v in range(64):
+            values = {"u": u, "v": v}
+            assert au.accepts(m, [values[t] for t in tracks]) == holds(u, v)
+
+
 def test_trivial_equality_keeps_track():
     m = compile_formula("x=x")
     assert m.tracks == ("x",)
-    assert au.is_universal(m)
+    assert au.is_empty(au.complement(m))
 
 
 def test_unused_quantified_variable():
@@ -264,7 +282,7 @@ def test_quantifier_duality(body):
 
 def test_call_with_sum_argument():
     env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.base_lt())
+    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
     machine = compile_formula("$less(i+1, j)", env=env)
     for i in range(20):
         for j in range(20):
@@ -281,14 +299,14 @@ def test_call_with_permuted_arguments_is_canonical():
 
 def test_call_with_constant_arguments():
     env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.base_lt())
+    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
     assert decide("$less(2, 3)", env=env) is True
     assert decide("$less(3, 3)", env=env) is False
 
 
 def test_call_with_duplicated_argument():
     env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.base_lt())
+    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
     machine = compile_formula("$less(i, i)", env=env)
     assert machine.tracks == ("i",)
     assert au.is_empty(machine)
@@ -296,7 +314,7 @@ def test_call_with_duplicated_argument():
 
 def test_call_arity_checked():
     env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.base_lt())
+    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
     with pytest.raises(CompileError):
         compile_formula("$less(i)", env=env)
     with pytest.raises(CompileError):
@@ -316,7 +334,7 @@ def test_compile_arithmetic_atoms(x, y):
 @settings(max_examples=200, deadline=None)
 def test_compiled_formula_matches_direct_evaluation(f):
     env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.base_lt())
+    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
     machine = compile_formula(f, env)
     assert machine.tracks == tuple(sorted(logic.free_vars(f)))
     for x in range(8):
@@ -363,7 +381,7 @@ def test_narrowed_scopes_match_direct_evaluation(f):
     # scope, or a scope whose variable is never projected, leaves that
     # variable's track on the machine.
     env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.base_lt())
+    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
     machine = compile_formula(f, env)
     assert machine.tracks == tuple(sorted(logic.free_vars(f)))
     lt = {"lt": lambda a, b: a < b}
