@@ -6,8 +6,8 @@ internal one) and an MSD DOT rendering for each of the four pattern
 predicates, the ``prove --out`` block of each shipped proof script, and
 the ``--out`` blocks of ``count 64`` and ``classify 2 3``.  Output is
 deterministic, so a clean checkout regenerates byte-identical files;
-tests/test_snapshots.py enforces that for all but the ``count`` block,
-and CI's ``git diff --exit-code snapshots/`` for all of them.
+tests/test_snapshots.py and CI's ``git diff --exit-code snapshots/``
+both enforce that for all of them.
 """
 
 import contextlib

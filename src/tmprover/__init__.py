@@ -3,7 +3,7 @@
 from tmprover.core import (
     PatternClass,
     classify_factor,
-    count_by_class,
+    classify_lengths,
     generate_prefix,
     scan_occurrences,
     tm_bit,
@@ -14,8 +14,8 @@ from tmprover.logic import compile_formula, decide, parse_formula, run_script
 __all__ = [
     "PatternClass",
     "classify_factor",
+    "classify_lengths",
     "compile_formula",
-    "count_by_class",
     "decide",
     "equal_reps",
     "evaluate",

@@ -25,6 +25,7 @@ import argparse
 import importlib.resources
 import random
 import sys
+from collections import Counter
 
 from tmprover import automata as au
 from tmprover import core, linrep, logic
@@ -178,10 +179,10 @@ def cmd_classify(args) -> int:
 # count
 
 
-def _route_values(n: int, reps, window: int, min_occ: int):
-    counts = core.count_by_class(n, window, min_occ)
-    f_routes = {"brute": counts.get(core.PatternClass.AB, 0)}
-    g_routes = {"brute": counts.get(core.PatternClass.ABBA, 0)}
+def _route_values(n: int, reps, classes):
+    counts = Counter(classes.values())
+    f_routes = {"brute": counts[core.PatternClass.AB]}
+    g_routes = {"brute": counts[core.PatternClass.ABBA]}
     f_routes["linrep"] = linrep.evaluate(reps["mab"], n - 1)
     g_routes["linrep"] = linrep.evaluate(reps["mabba"], n - 1)
     if n >= 2:
@@ -205,10 +206,11 @@ def cmd_count(args) -> int:
     pairs = {}
     ok = True
     # The table is printed once every row is computed, so an error on a
-    # later row (a window above the prefix cap) leaves stdout empty.
+    # later row (a classification error in the pass) leaves stdout empty.
     table = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
-    for n in range(1, args.n_max + 1):
-        f_routes, g_routes = _route_values(n, reps, args.window, args.min_occ)
+    lengths = core.classify_lengths(args.n_max, args.window, args.min_occ)
+    for n, classes in enumerate(lengths, 1):
+        f_routes, g_routes = _route_values(n, reps, classes)
         f_vals, g_vals = set(f_routes.values()), set(g_routes.values())
         flag = "" if len(f_vals) == 1 and len(g_vals) == 1 else "  MISMATCH"
         if flag:
@@ -273,11 +275,16 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     failures = []
     machines = _pattern_machines(state_cap, dfao)
     prefix = core.generate_prefix(window)
-    for n in range(2, SELFTEST_MAX_LENGTH + 1):
+    lengths = core.classify_lengths(SELFTEST_MAX_LENGTH, window, min_occ)
+    for n in range(1, SELFTEST_MAX_LENGTH + 1):
+        # A pass that raised is finished: the first classification error
+        # is the suite's last failure.
         try:
-            classes = core.classify_all_factors(n, window, min_occ)
+            classes = next(lengths)
         except core.ClassificationError as exc:
             failures.append(f"n={n}: {exc}")
+            break
+        if n == 1:
             continue
         firsts = {}
         for i in range(min(256, window - n)):
@@ -299,11 +306,11 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
 def _selftest_counting(state_cap, dfao) -> list[str]:
     failures = []
     reps = _counting_reps(state_cap, dfao)
-    for n in range(1, 33):
-        counts = core.count_by_class(n, 1 << 14)
+    for n, classes in enumerate(core.classify_lengths(32, 1 << 14), 1):
+        counts = Counter(classes.values())
         for name, cls in (("mab", core.PatternClass.AB),
                           ("mabba", core.PatternClass.ABBA)):
-            if linrep.evaluate(reps[name], n - 1) != counts.get(cls, 0):
+            if linrep.evaluate(reps[name], n - 1) != counts[cls]:
                 failures.append(
                     f"{name} value differs from brute force at n={n}")
     r2 = linrep.from_recurrence_a006165()

@@ -10,8 +10,11 @@ factor-count cross-check.
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
+from operator import itemgetter
 
 MAX_PREFIX_LENGTH = 1 << 26
 
@@ -20,6 +23,7 @@ DEFAULT_MIN_OCCURRENCES = 8
 
 _COMPLEMENT = str.maketrans("01", "10")
 _TO_LABELS = str.maketrans("01", "AB")
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ClassificationError(Exception):
@@ -191,49 +195,86 @@ def classify_factor(start: int, length: int, window: int = DEFAULT_WINDOW,
     return classify_pattern(occ, min_occurrences)
 
 
-def classify_all_factors(length: int, window: int = DEFAULT_WINDOW,
-                         min_occurrences: int = DEFAULT_MIN_OCCURRENCES,
-                         ) -> dict[str, PatternClass]:
-    """Classes of every distinct length-n factor occurring in the window.
+def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
+                     min_occurrences: int = DEFAULT_MIN_OCCURRENCES,
+                     ) -> Iterator[dict[str, PatternClass]]:
+    """Classes of every distinct factor in the window, length by length.
 
-    Single batch pass: every window position starts one member of a
-    complementary pair; the sweep files it under the pair's member that
+    Yields, for n = 1..n_max in turn, the dict from each length-n factor
+    to its class.  Every window position starts one member of a
+    complementary pair; the pass files it under the pair's member that
     starts with 0.  That member occurs exactly where the word reads 0, so
-    the pair's label word is the word itself at the pair's positions.
-    Classifying a factor classifies its complement for free.
+    the pair's label word is the word itself at the pair's positions, and
+    classifying a factor classifies its complement for free.  Argument
+    errors raise at the call, classification errors at the length that
+    has them.
     """
-    if length < 1:
+    if n_max < 1:
         raise ValueError("factor length must be >= 1")
     word = _cached_prefix(window).bits
-    if length > window:
+    if n_max > window:
         raise ValueError("factor longer than window")
-    mask = (1 << length) - 1
-    top = length - 1
-    pairs: dict[int, list[int]] = {}
-    cur = int("0" + word[:top], 2)
-    for p in range(window - top):
-        cur = ((cur << 1) | (word[p + top] == "1")) & mask
-        pairs.setdefault(cur ^ mask if cur >> top else cur, []).append(p)
-    out: dict[str, PatternClass] = {}
-    for key, pos in pairs.items():
-        labels = "".join([word[p] for p in pos]).translate(_TO_LABELS)
-        got = classify_labels(labels, pos, length, min_occurrences)
-        x = format(key, f"0{length}b")
-        if "A" in labels:
-            out[x] = got
-        if "B" in labels:
-            out[x.translate(_COMPLEMENT)] = COMPLEMENT_CLASS[got]
+    return _refine(word, n_max, min_occurrences)
+
+
+def _refine(word: str, n_max: int, min_occurrences: int):
+    """One refinement pass behind ``classify_lengths``.
+
+    A group is [key, positions, labels, class]: the pair's 0-led member,
+    its sorted positions and its label word.  From length n to n + 1 the
+    last position, window - n, can no longer start a factor and drops
+    out; then each group splits by its positions' next relative bit,
+    word[p+n] != word[p].  A group that does not split keeps its
+    positions, labels and class; only changed groups are classified
+    again.  That is exact: for n >= 2 a class is a function of the label
+    word alone, and the one length-1 group loses the last position.
+    """
+    window = len(word)
+    groups = [["0", list(range(window)), word.translate(_TO_LABELS), None]]
+    for n in range(1, n_max + 1):
+        if n > 1:
+            width = window - n + 1  # positions that start a length-n factor
+            for g in groups:
+                if g[1][-1] == width:
+                    g[1].pop()
+                    g[2], g[3] = g[2][:-1], None
+                    if not g[1]:
+                        groups.remove(g)
+                    break
+            bits = format(int(word[n - 1:], 2) ^ int(word[:width], 2),
+                          f"0{width}b").encode().translate(_BIT_VALUES)
+            groups = _split(groups, bits)
+        out: dict[str, PatternClass] = {}
+        for g in groups:
+            key, pos, labels, cls = g
+            if cls is None:
+                cls = g[3] = classify_labels(labels, pos, n, min_occurrences)
+            if "A" in labels:
+                out[key] = cls
+            if "B" in labels:
+                out[key.translate(_COMPLEMENT)] = COMPLEMENT_CLASS[cls]
+        yield out
+
+
+def _split(groups, bits: bytes):
+    """Each group's children under one more relative bit (0 or 1 per
+    position in ``bits``); a new group's class is None."""
+    out = []
+    for key, pos, labels, cls in groups:
+        if len(pos) == 1:
+            out.append([key + "01"[bits[pos[0]]], pos, labels, cls])
+            continue
+        sel = itemgetter(*pos)(bits)
+        ones = sum(sel)
+        if ones == 0 or ones == len(pos):
+            out.append([key + ("1" if ones else "0"), pos, labels, cls])
+            continue
+        zeros = [not b for b in sel]
+        out.append([key + "0", list(compress(pos, zeros)),
+                    "".join(compress(labels, zeros)), None])
+        out.append([key + "1", list(compress(pos, sel)),
+                    "".join(compress(labels, sel)), None])
     return out
-
-
-def count_by_class(length: int, window: int = DEFAULT_WINDOW,
-                   min_occurrences: int = DEFAULT_MIN_OCCURRENCES,
-                   ) -> dict[PatternClass, int]:
-    """Number of distinct length-n factors per intertwining class."""
-    counts: dict[PatternClass, int] = {}
-    for cls in classify_all_factors(length, window, min_occurrences).values():
-        counts[cls] = counts.get(cls, 0) + 1
-    return counts
 
 
 @functools.lru_cache(maxsize=None)

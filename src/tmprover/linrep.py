@@ -13,9 +13,7 @@ import importlib.resources
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from tmprover.automata import (
-    MultiTrackAutomaton, _saturate, is_zero_closed, minimize,
-)
+from tmprover import automata as au
 
 
 class NoncountableError(Exception):
@@ -96,29 +94,29 @@ def evaluate(rep: LinearRepresentation, n: int):
 
 @dataclass(frozen=True)
 class CountingQuery:
-    automaton: MultiTrackAutomaton
+    automaton: au.MultiTrackAutomaton
     counted: str
     parameter: str
 
 
-def counting_query(machine: MultiTrackAutomaton, counted: str,
+def counting_query(machine: au.MultiTrackAutomaton, counted: str,
                    parameter: str) -> CountingQuery:
     if machine.arity != 2:
         raise ValueError("counting needs a two-track automaton")
     if {counted, parameter} != set(machine.tracks):
         raise ValueError(
             f"tracks {machine.tracks} do not match ({counted}, {parameter})")
-    if not is_zero_closed(machine):
+    if not au.is_zero_closed(machine):
         # The gamma(0) limit in extract_counting counts values, not
         # encodings, only when padding zeros keep acceptance.
         raise ValueError("counting needs a zero-closed automaton")
-    machine = minimize(machine)  # so every state is reachable
+    machine = au.minimize(machine)  # so every state is reachable
     return CountingQuery(machine, counted, parameter)
 
 
-def _live_states(a: MultiTrackAutomaton):
+def _live_states(a: au.MultiTrackAutomaton):
     """Sorted states that can reach acceptance (all are reachable)."""
-    return sorted(_saturate(a.accepting, a.transitions))
+    return sorted(au._saturate(a.accepting, a.transitions))
 
 
 def extract_counting(query: CountingQuery) -> LinearRepresentation:

@@ -8,6 +8,7 @@ per criterion; each test also prints its own summary line (visible with
 import importlib.resources
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -118,8 +119,9 @@ def test_criterion_6_oracle_equivalence(pattern_machines):
     prefix = core.generate_prefix(window)
     disagreements = 0
     checked = 0
-    for n in range(2, 21):
-        classes = core.classify_all_factors(n, window)
+    for n, classes in enumerate(core.classify_lengths(20, window), 1):
+        if n < 2:
+            continue
         for i in range(4097):
             want = classes[prefix.factor(i, n)]
             hits = [name for name in cli.PATTERN_NAMES
@@ -137,13 +139,15 @@ def test_criterion_7_intertwining_ground_truth():
     assert core.classify_factor(5, 2) == core.PatternClass.BA
     assert core.classify_factor(2, 3) == core.PatternClass.ABBA
     assert core.classify_factor(3, 3) == core.PatternClass.BAAB
-    counts2 = core.count_by_class(2, window=1 << 15)
-    assert set(counts2) == {core.PatternClass.AB, core.PatternClass.BA}
-    for n in range(3, 65):
-        counts = core.count_by_class(n, window=1 << 15)
-        for cls in (core.PatternClass.AB, core.PatternClass.BA,
-                    core.PatternClass.ABBA, core.PatternClass.BAAB):
-            assert counts.get(cls, 0) > 0, (n, cls)
+    lengths = core.classify_lengths(64, window=1 << 15)
+    for n, classes in enumerate(lengths, 1):
+        counts = Counter(classes.values())
+        if n == 2:
+            assert set(counts) == {core.PatternClass.AB, core.PatternClass.BA}
+        elif n >= 3:
+            for cls in (core.PatternClass.AB, core.PatternClass.BA,
+                        core.PatternClass.ABBA, core.PatternClass.BAAB):
+                assert counts[cls] > 0, (n, cls)
     report("criterion 7 (anchors; n=2 two classes; n>=3 all four): PASS")
 
 

@@ -4,7 +4,7 @@ import importlib.resources
 
 import pytest
 
-from tmprover import cli
+from tmprover import cli, core
 
 FIXTURES = importlib.resources.files("tmprover") / "fixtures"
 
@@ -339,6 +339,27 @@ def test_selftest_catches_corrupted_dfao(capsys):
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL" in out
+
+
+def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):
+    """The classification suite records the length whose classification
+    failed and checks no longer length: the pass ends there."""
+    classify_labels = core.classify_labels
+
+    def failing_at_4(labels, positions, factor_length, min_occurrences):
+        if factor_length == 4 and min_occurrences == 5:
+            raise core.ClassificationError("injected")
+        return classify_labels(labels, positions, factor_length,
+                               min_occurrences)
+
+    monkeypatch.setattr(core, "classify_labels", failing_at_4)
+    code = run_cli("--min-occ", 5, "selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.classification: FAIL" in out
+    assert "  - n=4: injected" in out
+    assert "n=5" not in out and "n=6" not in out
+    assert "selftest.counting: pass" in out
 
 
 def test_selftest_small_window_fails(capsys):

@@ -1,5 +1,7 @@
 """Tests for the brute-force Thue-Morse layer."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,8 +15,8 @@ from tmprover.core import (
     a006165,
     a060973,
     classify_factor,
+    classify_lengths,
     classify_pattern,
-    count_by_class,
     f_closed,
     g_closed,
     generate_prefix,
@@ -132,9 +134,15 @@ def test_length1_never_periodic():
         assert cls in (PatternClass.TM_AS_A, PatternClass.TM_AS_B)
 
 
+@pytest.fixture(scope="module")
+def classes_to_20():
+    """Classes for n = 1..20 at window 2^14, from one pass."""
+    return list(classify_lengths(20, window=1 << 14))
+
+
 @pytest.mark.parametrize("n", range(2, 21))
-def test_small_lengths_classify_everywhere(n):
-    classes = core.classify_all_factors(n, window=1 << 14)
+def test_small_lengths_classify_everywhere(classes_to_20, n):
+    classes = classes_to_20[n - 1]
     assert classes, "window must contain factors"
     for cls in classes.values():
         assert cls in (PatternClass.AB, PatternClass.BA,
@@ -145,35 +153,83 @@ def test_small_lengths_classify_everywhere(n):
        st.sampled_from([4, 8]))
 @settings(max_examples=200, deadline=None)
 def test_sweep_matches_per_factor_scan(length, window, min_occ):
-    """The one-pass sweep and the per-factor scan are two routes to the
-    same class: every factor in the window gets the same one from both."""
+    """The refinement pass and the per-factor scan are two routes to the
+    same class: at every n of the pass, every factor in the window gets
+    the same one from both."""
     assume(length <= window)
-    try:
-        classes = core.classify_all_factors(length, window, min_occ)
-    except ClassificationError:
-        assume(False)
     prefix = generate_prefix(window)
+    lengths = classify_lengths(length, window, min_occ)
+    for n in range(1, length + 1):
+        try:
+            classes = next(lengths)
+        except ClassificationError:
+            assume(False)
+        assert classes == _scanned_classes(prefix, n, min_occ), n
+
+
+def _scanned_classes(prefix, n, min_occ):
+    """Class of every length-n factor of the prefix, one scan per factor."""
     firsts = {}
-    for i in range(window - length + 1):
-        firsts.setdefault(prefix.factor(i, length), i)
-    assert set(classes) == set(firsts)
-    for text, i in firsts.items():
-        occ = scan_occurrences(prefix, FactorRef(i, length))
-        assert classify_pattern(occ, min_occ) == classes[text], (text, i)
+    for i in range(len(prefix.bits) - n + 1):
+        firsts.setdefault(prefix.factor(i, n), i)
+    return {text: classify_pattern(scan_occurrences(prefix, FactorRef(i, n)),
+                                   min_occ)
+            for text, i in firsts.items()}
+
+
+@pytest.mark.parametrize("min_occ", [4, 8])
+def test_pass_to_full_window_matches_scan(min_occ):
+    """Windows 1..40: up to n = window, where the last n has one
+    position; small windows leave factors with too few occurrences
+    INSUFFICIENT."""
+    insufficient = 0
+    for window in range(1, 41):
+        prefix = generate_prefix(window)
+        lengths = list(classify_lengths(window, window, min_occ))
+        assert len(lengths) == window
+        for n, classes in enumerate(lengths, 1):
+            assert classes == _scanned_classes(prefix, n, min_occ), (window, n)
+            insufficient += list(classes.values()).count(
+                PatternClass.INSUFFICIENT)
+        assert lengths[-1] == {prefix.bits: PatternClass.INSUFFICIENT}
+    assert insufficient > 0
+
+
+@pytest.mark.parametrize("n_max, window, message", [
+    (17, 16, "factor longer than window"),
+    (0, 16, "factor length must be >= 1"),
+    (-1, 16, "factor length must be >= 1"),
+])
+def test_pass_rejects_bad_lengths(n_max, window, message):
+    with pytest.raises(ValueError, match=message):
+        classify_lengths(n_max, window)
+
+
+def test_pass_stopped_early_leaves_fresh_pass_unchanged():
+    first = classify_lengths(30, window=1024)
+    head = [next(first) for _ in range(10)]
+    fresh = list(classify_lengths(30, window=1024))
+    assert head == fresh[:10]
+    assert fresh[10] == _scanned_classes(generate_prefix(1024), 11, 8)
+
+
+def _counts_by_length(n_max, window):
+    """Class counts for n = 1..n_max, from one pass."""
+    for classes in classify_lengths(n_max, window):
+        yield Counter(classes.values())
 
 
 def test_counts_match_reference_table():
-    for n in range(1, 16):
-        counts = count_by_class(n, window=1 << 15)
-        assert counts.get(PatternClass.AB, 0) == F_TABLE[n - 1], n
-        assert counts.get(PatternClass.ABBA, 0) == G_TABLE[n - 1], n
+    for n, counts in enumerate(_counts_by_length(15, 1 << 15), 1):
+        assert counts[PatternClass.AB] == F_TABLE[n - 1], n
+        assert counts[PatternClass.ABBA] == G_TABLE[n - 1], n
 
 
 def test_class_symmetry_up_to_64():
-    for n in range(2, 65):
-        counts = count_by_class(n, window=1 << 15)
-        assert counts.get(PatternClass.AB, 0) == counts.get(PatternClass.BA, 0)
-        assert counts.get(PatternClass.ABBA, 0) == counts.get(PatternClass.BAAB, 0)
+    for n, counts in enumerate(_counts_by_length(64, 1 << 15), 1):
+        if n >= 2:
+            assert counts[PatternClass.AB] == counts[PatternClass.BA], n
+            assert counts[PatternClass.ABBA] == counts[PatternClass.BAAB], n
 
 
 def test_a006165_values():
@@ -205,11 +261,12 @@ def test_closed_forms_match_table():
 
 
 def test_four_routes_agree_up_to_64():
-    for n in range(2, 65):
-        counts = count_by_class(n, window=1 << 15)
-        f = counts.get(PatternClass.AB, 0)
+    for n, counts in enumerate(_counts_by_length(64, 1 << 15), 1):
+        if n < 2:
+            continue
+        f = counts[PatternClass.AB]
         assert f == f_closed(n) == 2 * a006165(n - 1), n
-        g = counts.get(PatternClass.ABBA, 0)
+        g = counts[PatternClass.ABBA]
         assert g == a060973(n - 1), n
         if n >= 3:
             assert g == g_closed(n), n

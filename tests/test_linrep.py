@@ -3,6 +3,7 @@
 import functools
 import importlib.resources
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -128,13 +129,12 @@ def test_extraction_matches_tables(extracted):
 
 
 def test_extraction_matches_brute_counts_to_512(extracted):
-    for n in range(513):
-        counts = core.count_by_class(n + 1, window=1 << 15)
-        assert evaluate(extracted["mab"], n) == \
-            counts.get(core.PatternClass.AB, 0), n
+    for n, classes in enumerate(core.classify_lengths(513, window=1 << 15)):
+        counts = Counter(classes.values())
+        assert evaluate(extracted["mab"], n) == counts[core.PatternClass.AB], n
         if n <= 256:
             assert evaluate(extracted["mabba"], n) == \
-                counts.get(core.PatternClass.ABBA, 0), n
+                counts[core.PatternClass.ABBA], n
 
 
 def test_counting_rep_spot_values(extracted):

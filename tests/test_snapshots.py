@@ -1,4 +1,4 @@
-"""Regression pins for the regenerated pattern automata."""
+"""Regression pins for the regenerated snapshots."""
 
 import pathlib
 
@@ -43,6 +43,13 @@ def test_classify_out_snapshot_bit_exact(tmp_path, capsys):
     assert cli.main(["--out", str(out), "classify", "2", "3"]) == 0
     capsys.readouterr()
     assert out.read_text() == (SNAPSHOT_DIR / "classify_2_3.out").read_text()
+
+
+def test_count_out_snapshot_bit_exact(tmp_path, capsys):
+    out = tmp_path / "count_64.out"
+    assert cli.main(["--out", str(out), "count", "64"]) == 0
+    capsys.readouterr()
+    assert out.read_text() == (SNAPSHOT_DIR / "count_64.out").read_text()
 
 
 def test_snapshot_roundtrip_language(machines):
