@@ -114,10 +114,11 @@ def cmd_prove(args) -> int:
     pairs = {}
     ok = True
     for cmd in report.commands:
+        states = cmd.automaton.num_states
         print(f"{cmd.kind:10s} {cmd.name:12s} verdict={cmd.verdict:5s} "
-              f"states={cmd.states:6d} elapsed={cmd.elapsed_ms:9.1f} ms")
+              f"states={states:6d} elapsed={cmd.elapsed_ms:9.1f} ms")
         pairs[f"cmd.{cmd.name}.kind"] = cmd.kind
-        pairs[f"cmd.{cmd.name}.states"] = cmd.states
+        pairs[f"cmd.{cmd.name}.states"] = states
         if cmd.kind != "def":
             pairs[f"cmd.{cmd.name}.verdict"] = cmd.verdict
     for name, want in expectations.items():
@@ -136,19 +137,19 @@ def cmd_prove(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    prefix = core.generate_prefix(args.window)
-    occ = core.scan_occurrences(prefix, core.FactorRef(args.start, args.length))
-    oracle = core.classify_pattern(occ, args.min_occ)
+    word = core.generate_prefix(args.window)
+    entries = core.scan_occurrences(word, args.start, args.length)
+    oracle = core.classify_pattern(entries, args.length, args.min_occ)
     # The pattern machines are built before anything is printed, so a
     # resource error leaves stdout empty.
     routed = oracle != core.PatternClass.INSUFFICIENT and args.length >= 2
     machines = _pattern_machines(args.state_cap) if routed else None
     pairs = {"oracle.class": oracle.value,
              "factor.start": args.start, "factor.length": args.length}
-    first_a = next((p for p, lab in occ.entries if lab == "A"), None)
-    first_b = next((p for p, lab in occ.entries if lab == "B"), None)
+    first_a = next((p for p, lab in entries if lab == "A"), None)
+    first_b = next((p for p, lab in entries if lab == "B"), None)
     print(f"factor t[{args.start}..{args.start + args.length - 1}] = "
-          f"{prefix.factor(args.start, args.length)}")
+          f"{word[args.start:args.start + args.length]}")
     print(f"oracle class: {oracle.value}")
     print(f"first occurrence (factor): {first_a}")
     print(f"first occurrence (complement): {first_b}")
@@ -274,7 +275,7 @@ def _selftest_algebra(rng) -> list[str]:
 def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     failures = []
     machines = _pattern_machines(state_cap, dfao)
-    prefix = core.generate_prefix(window)
+    word = core.generate_prefix(window)
     lengths = core.classify_lengths(SELFTEST_MAX_LENGTH, window, min_occ)
     for n in range(1, SELFTEST_MAX_LENGTH + 1):
         # A pass that raised is finished: the first classification error
@@ -288,7 +289,7 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
             continue
         firsts = {}
         for i in range(min(256, window - n)):
-            text = prefix.factor(i, n)
+            text = word[i:i + n]
             if text not in firsts:
                 firsts[text] = i
         for text, i in firsts.items():
@@ -408,8 +409,10 @@ def main(argv=None) -> int:
     if args.min_occ < 4:
         parser.error("--min-occ must be at least 4")
     try:
-        if args.window < 1:
-            raise ValueError(f"--window must be at least 1, got {args.window}")
+        for flag, value in (("--window", args.window),
+                            ("--state-cap", args.state_cap)):
+            if value < 1:
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         return args.func(args)
     except (OSError, ValueError, logic.ScriptError, core.ClassificationError,
             core.ResourceLimitError, linrep.NoncountableError,

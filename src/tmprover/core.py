@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress
 from operator import itemgetter
@@ -46,23 +45,8 @@ def tm_bit(k: int) -> int:
     return bin(k).count("1") & 1
 
 
-@dataclass(frozen=True)
-class TmPrefix:
-    """Explicit prefix of the Thue-Morse word, stored as a 0/1 string."""
-
-    bits: str
-
-    def factor(self, start: int, length: int) -> str:
-        if start < 0 or length < 1 or start + length > len(self.bits):
-            raise ValueError(
-                f"factor [{start}, {start + length}) out of range for prefix "
-                f"of length {len(self.bits)}"
-            )
-        return self.bits[start : start + length]
-
-
-def generate_prefix(length: int, max_length: int = MAX_PREFIX_LENGTH) -> TmPrefix:
-    """Thue-Morse prefix by repeated doubling (s -> s + complement(s))."""
+def generate_prefix(length: int, max_length: int = MAX_PREFIX_LENGTH) -> str:
+    """Thue-Morse 0/1 prefix by repeated doubling (s -> s + complement(s))."""
     if length < 0:
         raise ValueError("length must be nonnegative")
     if length > max_length:
@@ -70,41 +54,12 @@ def generate_prefix(length: int, max_length: int = MAX_PREFIX_LENGTH) -> TmPrefi
     s = "0"
     while len(s) < length:
         s += s.translate(_COMPLEMENT)
-    return TmPrefix(s[:length])
+    return s[:length]
 
 
 @functools.lru_cache(maxsize=4)
-def _cached_prefix(length: int) -> TmPrefix:
+def _cached_prefix(length: int) -> str:
     return generate_prefix(length)
-
-
-@dataclass(frozen=True)
-class FactorRef:
-    """A factor of the Thue-Morse word given by one of its occurrences."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 0 or self.length < 1:
-            raise ValueError("factor needs start >= 0 and length >= 1")
-
-
-@dataclass(frozen=True)
-class OccurrenceList:
-    """Merged occurrences of a factor (label A) and its complement (label B).
-
-    ``entries`` is position-sorted.  Overlapping occurrences are all present.
-    """
-
-    entries: tuple[tuple[int, str], ...]
-    factor: FactorRef
-
-    def labels(self) -> str:
-        return "".join(lab for _, lab in self.entries)
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(pos for pos, _ in self.entries)
 
 
 class PatternClass(Enum):
@@ -131,21 +86,26 @@ COMPLEMENT_CLASS = {
 PERIODIC_PATTERNS = ("AB", "BA", "ABBA", "BAAB")
 
 
-def scan_occurrences(prefix: TmPrefix, factor: FactorRef) -> OccurrenceList:
-    """All occurrences of the factor (A) and its complement (B) in the prefix."""
-    word = prefix.bits
-    x = prefix.factor(factor.start, factor.length)
-    xbar = x.translate(_COMPLEMENT)
+def scan_occurrences(word: str, start: int,
+                     length: int) -> tuple[tuple[int, str], ...]:
+    """Every occurrence of the factor word[start:start+length] (label A)
+    and of its complement (label B), overlaps included, as position-sorted
+    (position, label) pairs."""
+    if start < 0 or length < 1:
+        raise ValueError("factor needs start >= 0 and length >= 1")
+    if start + length > len(word):
+        raise ValueError(
+            f"factor [{start}, {start + length}) out of range for prefix "
+            f"of length {len(word)}"
+        )
+    x = word[start : start + length]
     entries = []
-    for target, label in ((x, "A"), (xbar, "B")):
+    for target, label in ((x, "A"), (x.translate(_COMPLEMENT), "B")):
         p = word.find(target)
         while p != -1:
             entries.append((p, label))
             p = word.find(target, p + 1)
-    if x == xbar:  # impossible over a binary alphabet, kept as a guard
-        raise ClassificationError("factor equals its own complement")
-    entries.sort()
-    return OccurrenceList(tuple(entries), factor)
+    return tuple(sorted(entries))
 
 
 def _tm_coded_labels(positions, zero_label: str) -> str:
@@ -181,18 +141,19 @@ def classify_labels(labels: str, positions, factor_length: int,
     return PatternClass[matches[0]]
 
 
-def classify_pattern(occ: OccurrenceList,
+def classify_pattern(entries, length: int,
                      min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> PatternClass:
-    return classify_labels(occ.labels(), occ.positions(), occ.factor.length,
+    """Class of a length-``length`` factor from its ``scan_occurrences``."""
+    return classify_labels("".join(lab for _, lab in entries),
+                           [pos for pos, _ in entries], length,
                            min_occurrences)
 
 
 def classify_factor(start: int, length: int, window: int = DEFAULT_WINDOW,
                     min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> PatternClass:
     """Brute-force intertwining class of the factor t[start .. start+length-1]."""
-    prefix = _cached_prefix(window)
-    occ = scan_occurrences(prefix, FactorRef(start, length))
-    return classify_pattern(occ, min_occurrences)
+    entries = scan_occurrences(_cached_prefix(window), start, length)
+    return classify_pattern(entries, length, min_occurrences)
 
 
 def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
@@ -211,7 +172,7 @@ def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
     """
     if n_max < 1:
         raise ValueError("factor length must be >= 1")
-    word = _cached_prefix(window).bits
+    word = _cached_prefix(window)
     if n_max > window:
         raise ValueError("factor longer than window")
     return _refine(word, n_max, min_occurrences)

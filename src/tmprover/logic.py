@@ -22,8 +22,9 @@ Scope rule: a quantifier extends maximally, to the end of the enclosing
 parenthesis or formula.  ``Ak (k<n) => p`` therefore means
 ``forall k ((k<n) => p)``, never ``(forall k (k<n)) => p``.
 
-Predicates are stored on their free variables in alphabetical order, and
-``$name(...)`` binds arguments positionally to that order.
+The predicate environment is a dict from each defined name to its
+compiled machine, whose tracks are the predicate's free variables in
+alphabetical order; ``$name(...)`` binds arguments positionally to them.
 
 A compiled machine's tracks are exactly its formula's free variables, so
 the compiler narrows each ``E`` scope by reading the tracks of its
@@ -353,8 +354,12 @@ class _Parser:
             self.next()
             return Var(tok.value)
         if tok.kind == "INT":
+            try:
+                value = int(tok.value)
+            except ValueError:  # past the interpreter's int-string limit
+                self.fail(f"numeral of {len(tok.value)} digits is too long")
             self.next()
-            return Const(int(tok.value))
+            return Const(value)
         self.fail(f"expected a variable or constant, found {tok.value!r}")
 
 
@@ -417,27 +422,10 @@ def parse_script(source: str) -> list[Command]:
 # Compiler
 
 
-class PredicateEnv:
-    """Named predicates: free variables in alphabetical order + automaton."""
-
-    def __init__(self):
-        self._defs: dict[str, tuple[tuple[str, ...], au.MultiTrackAutomaton]] = {}
-
-    def bind(self, name, params, machine):
-        if name in self._defs:
-            raise CompileError(f"predicate {name!r} is already defined")
-        self._defs[name] = (tuple(params), machine)
-
-    def lookup(self, name):
-        if name not in self._defs:
-            raise CompileError(f"unknown predicate {name!r}")
-        return self._defs[name]
-
-
 class Compiler:
-    def __init__(self, env: PredicateEnv | None = None, dfao: au.Dfao | None = None,
+    def __init__(self, env: dict | None = None, dfao: au.Dfao | None = None,
                  state_cap: int = DEFAULT_STATE_CAP):
-        self.env = env if env is not None else PredicateEnv()
+        self.env = env if env is not None else {}
         self.dfao = dfao if dfao is not None else au.tm_dfao()
         self.state_cap = state_cap
         self._fresh_counter = 0
@@ -532,7 +520,10 @@ class Compiler:
             lambda a, b: au.product(a, b, "and", self.state_cap), machines)
 
     def _compile_call(self, call: Call) -> au.MultiTrackAutomaton:
-        params, stored = self.env.lookup(call.name)
+        stored = self.env.get(call.name)
+        if stored is None:
+            raise CompileError(f"unknown predicate {call.name!r}")
+        params = stored.tracks
         if len(call.args) != len(params):
             raise CompileError(
                 f"{call.name!r} takes {len(params)} arguments "
@@ -572,9 +563,8 @@ class CommandResult:
     kind: str
     name: str
     verdict: str  # "TRUE" | "FALSE" | "n/a"
-    states: int
     elapsed_ms: float
-    automaton: au.MultiTrackAutomaton | None = None
+    automaton: au.MultiTrackAutomaton
 
 
 @dataclass
@@ -595,7 +585,7 @@ def run_script(source: str, dfao=None,
                state_cap: int = DEFAULT_STATE_CAP) -> ProofReport:
     """Execute a script: defs populate the environment in order, evals are
     decided (or compiled, for the counting/free-variable forms)."""
-    env = PredicateEnv()
+    env = {}
     report = ProofReport()
     try:
         commands = parse_script(source)
@@ -607,7 +597,7 @@ def run_script(source: str, dfao=None,
             machine = compile_formula(cmd.formula, env, dfao, state_cap)
             params = machine.tracks
             if cmd.kind == "def":
-                env.bind(cmd.name, params, machine)
+                env[cmd.name] = machine
                 verdict = "n/a"
             elif cmd.kind == "eval_count":
                 if cmd.count_var not in params:
@@ -633,5 +623,5 @@ def run_script(source: str, dfao=None,
         elapsed = (time.perf_counter() - start) * 1000.0
         report.commands.append(CommandResult(
             kind=cmd.kind, name=cmd.name, verdict=verdict,
-            states=machine.num_states, elapsed_ms=elapsed, automaton=machine))
+            elapsed_ms=elapsed, automaton=machine))
     return report

@@ -13,7 +13,7 @@ from tmprover import logic
 from tmprover.core import generate_prefix, tm_bit
 
 WINDOW = 1 << 10
-PREFIX = generate_prefix(WINDOW).bits
+PREFIX = generate_prefix(WINDOW)
 _COMP = str.maketrans("01", "10")
 
 

@@ -116,14 +116,14 @@ def test_criterion_5_fixture_matrices(extracted_reps):
 
 def test_criterion_6_oracle_equivalence(pattern_machines):
     window = core.DEFAULT_WINDOW
-    prefix = core.generate_prefix(window)
+    word = core.generate_prefix(window)
     disagreements = 0
     checked = 0
     for n, classes in enumerate(core.classify_lengths(20, window), 1):
         if n < 2:
             continue
         for i in range(4097):
-            want = classes[prefix.factor(i, n)]
+            want = classes[word[i:i + n]]
             hits = [name for name in cli.PATTERN_NAMES
                     if au.accepts(pattern_machines[name], [i, n])]
             checked += 1

@@ -117,6 +117,16 @@ def test_classify_bad_range(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("start, length", [(-1, 3), (0, 0)],
+                         ids=["negative-start", "zero-length"])
+def test_classify_bad_factor_exits_2(capsys, start, length):
+    assert run_cli("classify", start, length) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: factor needs start >= 0 and length >= 1\n"
+
+
 def test_count_reproduces_table(capsys):
     code = run_cli("--window", 1 << 15, "count", 15)
     out = capsys.readouterr().out
@@ -176,8 +186,11 @@ def test_min_occ_below_four_rejected(capsys):
     ("--window", -5, "count", 3),
     ("--window", 3, "selftest"),
     ("--state-cap", 5, "selftest"),
+    ("--state-cap", 0, "classify", 0, 1),
+    ("--state-cap", -1, "export", "abpat"),
 ], ids=["window-2-count", "window-0-count", "window-negative-count",
-        "window-3-selftest", "state-cap-selftest"])
+        "window-3-selftest", "state-cap-selftest", "state-cap-0-classify",
+        "state-cap-negative-export"])
 def test_resource_and_window_errors_exit_2(capsys, argv):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
@@ -193,10 +206,22 @@ def test_window_below_one_rejected(capsys, command):
     assert "--window" in err and "-5" in err
 
 
+@pytest.mark.parametrize("value, command", [
+    (0, ("classify", 0, 1)), (-1, ("export", "abpat"))],
+    ids=["zero-classify", "negative-export"])
+def test_state_cap_below_one_rejected(capsys, value, command):
+    assert run_cli("--state-cap", value, *command) == 2
+    err = capsys.readouterr().err
+    assert f"error: --state-cap must be at least 1, got {value}" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("--window", 2, "count", 3),
     ("--state-cap", 5, "selftest"),
-], ids=["window-2-count", "state-cap-selftest"])
+    ("--state-cap", 0, "classify", 0, 1),
+    ("--state-cap", -1, "export", "abpat"),
+], ids=["window-2-count", "state-cap-selftest", "state-cap-0-classify",
+        "state-cap-negative-export"])
 def test_usage_errors_print_no_report(capsys, argv):
     assert run_cli(*argv) == 2
     captured = capsys.readouterr()
@@ -252,6 +277,19 @@ def test_non_ascii_formula_exits_2_with_position(tmp_path, capsys, text, bad,
     assert captured.out == ""
     assert f"unexpected character {bad!r} (line 2, column {col})" \
         in captured.err
+
+
+def test_overlong_numeral_exits_2_with_position(tmp_path, capsys,
+                                                int_digit_limit):
+    script = tmp_path / "numeral.wal"
+    script.write_text('eval ok "0=0":\neval a "x=' + "9" * 5000 + '":\n')
+    expected = tmp_path / "numeral.expected"
+    expected.write_text("ok=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: numeral of 5000 digits is too long "
+                            "(line 2, column 11)\n")
 
 
 def test_prove_finds_a_def_named_in_the_expectations(tmp_path, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tmprover import core
 from tmprover.core import (
     ClassificationError,
-    FactorRef,
     PatternClass,
     ResourceLimitError,
     a006165,
@@ -50,15 +49,15 @@ def test_tm_bit_recursion(k):
 
 
 def test_generate_prefix_known():
-    assert generate_prefix(8).bits == "01101001"
-    assert generate_prefix(0).bits == ""
-    assert generate_prefix(16).bits == "0110100110010110"
+    assert generate_prefix(8) == "01101001"
+    assert generate_prefix(0) == ""
+    assert generate_prefix(16) == "0110100110010110"
 
 
 @given(st.integers(min_value=0, max_value=512))
 @settings(max_examples=60)
 def test_generate_prefix_matches_tm_bit(n):
-    bits = generate_prefix(n).bits
+    bits = generate_prefix(n)
     assert len(bits) == n
     assert all(int(bits[k]) == tm_bit(k) for k in range(n))
 
@@ -69,38 +68,47 @@ def test_generate_prefix_cap():
 
 
 def test_scan_occurrences_00_window16():
-    prefix = generate_prefix(16)
-    occ = scan_occurrences(prefix, FactorRef(5, 2))
+    occ = scan_occurrences(generate_prefix(16), 5, 2)
     # 00 occurs at 5 and 9; 11 at 1, 7 and 13: labels strictly alternate.
-    assert occ.entries == ((1, "B"), (5, "A"), (7, "B"), (9, "A"), (13, "B"))
+    assert occ == ((1, "B"), (5, "A"), (7, "B"), (9, "A"), (13, "B"))
 
 
 def test_scan_occurrences_trivial():
-    occ = scan_occurrences(generate_prefix(1), FactorRef(0, 1))
-    assert occ.entries == ((0, "A"),)
+    occ = scan_occurrences(generate_prefix(1), 0, 1)
+    assert occ == ((0, "A"),)
 
 
 def test_scan_occurrences_01101_window64():
     # Occurrences of 01101 and 10010 strictly alternate (class AB); the
     # first few merged positions are fixed by direct computation.
-    occ = scan_occurrences(generate_prefix(64), FactorRef(0, 5))
-    assert occ.entries[:6] == (
+    occ = scan_occurrences(generate_prefix(64), 0, 5)
+    assert occ[:6] == (
         (0, "A"), (8, "B"), (12, "A"), (16, "B"), (24, "A"), (32, "B"))
-    labels = occ.labels()
+    labels = "".join(lab for _, lab in occ)
     assert labels == ("AB" * len(labels))[: len(labels)]
 
 
 def test_scan_occurrences_reports_overlaps():
     # 010 at 3 overlaps 101 at 2 and at 4 is absent; occurrence scanning
     # must keep every overlapping hit.
-    occ = scan_occurrences(generate_prefix(16), FactorRef(2, 3))
-    positions = occ.positions()
+    occ = scan_occurrences(generate_prefix(16), 2, 3)
+    positions = [pos for pos, _ in occ]
     assert 2 in positions and 3 in positions
 
 
 def test_scan_occurrences_out_of_range():
     with pytest.raises(ValueError):
-        scan_occurrences(generate_prefix(8), FactorRef(6, 4))
+        scan_occurrences(generate_prefix(8), 6, 4)
+
+
+@pytest.mark.parametrize("start, length, message", [
+    (-1, 3, "factor needs start >= 0 and length >= 1"),
+    (0, 0, "factor needs start >= 0 and length >= 1"),
+    (6, 4, r"factor \[6, 10\) out of range for prefix of length 8"),
+], ids=["negative-start", "zero-length", "past-window-end"])
+def test_scan_occurrences_rejects_bad_factors(start, length, message):
+    with pytest.raises(ValueError, match=message):
+        scan_occurrences(generate_prefix(8), start, length)
 
 
 def test_classify_anchor_factors():
@@ -113,14 +121,15 @@ def test_classify_anchor_factors():
 
 
 def test_classify_insufficient_window():
-    occ = scan_occurrences(generate_prefix(8), FactorRef(0, 4))
-    assert classify_pattern(occ, min_occurrences=8) == PatternClass.INSUFFICIENT
+    occ = scan_occurrences(generate_prefix(8), 0, 4)
+    assert classify_pattern(occ, 4, min_occurrences=8) \
+        == PatternClass.INSUFFICIENT
 
 
 def test_classify_min_occurrences_validated():
-    occ = scan_occurrences(generate_prefix(64), FactorRef(0, 2))
+    occ = scan_occurrences(generate_prefix(64), 0, 2)
     with pytest.raises(ValueError):
-        classify_pattern(occ, min_occurrences=3)
+        classify_pattern(occ, 2, min_occurrences=3)
 
 
 def test_classify_rejects_alien_labels():
@@ -157,23 +166,22 @@ def test_sweep_matches_per_factor_scan(length, window, min_occ):
     same class: at every n of the pass, every factor in the window gets
     the same one from both."""
     assume(length <= window)
-    prefix = generate_prefix(window)
+    word = generate_prefix(window)
     lengths = classify_lengths(length, window, min_occ)
     for n in range(1, length + 1):
         try:
             classes = next(lengths)
         except ClassificationError:
             assume(False)
-        assert classes == _scanned_classes(prefix, n, min_occ), n
+        assert classes == _scanned_classes(word, n, min_occ), n
 
 
-def _scanned_classes(prefix, n, min_occ):
-    """Class of every length-n factor of the prefix, one scan per factor."""
+def _scanned_classes(word, n, min_occ):
+    """Class of every length-n factor of the word, one scan per factor."""
     firsts = {}
-    for i in range(len(prefix.bits) - n + 1):
-        firsts.setdefault(prefix.factor(i, n), i)
-    return {text: classify_pattern(scan_occurrences(prefix, FactorRef(i, n)),
-                                   min_occ)
+    for i in range(len(word) - n + 1):
+        firsts.setdefault(word[i:i + n], i)
+    return {text: classify_pattern(scan_occurrences(word, i, n), n, min_occ)
             for text, i in firsts.items()}
 
 
@@ -184,14 +192,14 @@ def test_pass_to_full_window_matches_scan(min_occ):
     INSUFFICIENT."""
     insufficient = 0
     for window in range(1, 41):
-        prefix = generate_prefix(window)
+        word = generate_prefix(window)
         lengths = list(classify_lengths(window, window, min_occ))
         assert len(lengths) == window
         for n, classes in enumerate(lengths, 1):
-            assert classes == _scanned_classes(prefix, n, min_occ), (window, n)
+            assert classes == _scanned_classes(word, n, min_occ), (window, n)
             insufficient += list(classes.values()).count(
                 PatternClass.INSUFFICIENT)
-        assert lengths[-1] == {prefix.bits: PatternClass.INSUFFICIENT}
+        assert lengths[-1] == {word: PatternClass.INSUFFICIENT}
     assert insufficient > 0
 
 

@@ -349,8 +349,7 @@ def test_fixture_dump_is_the_file_body(name):
 
 
 def _counting_query(f):
-    env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"lt": au.comparison("x", "y", "<")}
     return counting_query(compile_formula(f, env), "i", "n")
 
 

@@ -123,6 +123,15 @@ def test_names_and_numerals_are_ascii(text, col):
     assert (err.value.line, err.value.col) == (2, col)
 
 
+def test_overlong_numeral_is_a_parse_error(int_digit_limit):
+    nines = "9" * int_digit_limit
+    assert parse_formula("x=" + nines) == Compare(Var("x"), "=",
+                                                  Const(int(nines)))
+    with pytest.raises(ParseError, match="numeral of 5000 digits") as err:
+        parse_formula("0=0 &\n  x=" + "9" * 5000)
+    assert (err.value.line, err.value.col) == (2, 5)
+
+
 def test_sums_right_nested():
     assert parse_formula("i+j+k=n").left == Sum(Var("i"), Sum(Var("j"), Var("k")))
 
@@ -281,8 +290,7 @@ def test_quantifier_duality(body):
 
 
 def test_call_with_sum_argument():
-    env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"less": au.comparison("x", "y", "<")}
     machine = compile_formula("$less(i+1, j)", env=env)
     for i in range(20):
         for j in range(20):
@@ -298,23 +306,20 @@ def test_call_with_permuted_arguments_is_canonical():
 
 
 def test_call_with_constant_arguments():
-    env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"less": au.comparison("x", "y", "<")}
     assert decide("$less(2, 3)", env=env) is True
     assert decide("$less(3, 3)", env=env) is False
 
 
 def test_call_with_duplicated_argument():
-    env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"less": au.comparison("x", "y", "<")}
     machine = compile_formula("$less(i, i)", env=env)
     assert machine.tracks == ("i",)
     assert au.is_empty(machine)
 
 
 def test_call_arity_checked():
-    env = logic.PredicateEnv()
-    env.bind("less", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"less": au.comparison("x", "y", "<")}
     with pytest.raises(CompileError):
         compile_formula("$less(i)", env=env)
     with pytest.raises(CompileError):
@@ -333,8 +338,7 @@ def test_compile_arithmetic_atoms(x, y):
 @given(formulas(("x", "y"), 2))
 @settings(max_examples=200, deadline=None)
 def test_compiled_formula_matches_direct_evaluation(f):
-    env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"lt": au.comparison("x", "y", "<")}
     machine = compile_formula(f, env)
     assert machine.tracks == tuple(sorted(logic.free_vars(f)))
     for x in range(8):
@@ -380,8 +384,7 @@ def test_narrowed_scopes_match_direct_evaluation(f):
     # A conjunct that reads the bound variable but is kept outside its
     # scope, or a scope whose variable is never projected, leaves that
     # variable's track on the machine.
-    env = logic.PredicateEnv()
-    env.bind("lt", ("x", "y"), au.comparison("x", "y", "<"))
+    env = {"lt": au.comparison("x", "y", "<")}
     machine = compile_formula(f, env)
     assert machine.tracks == tuple(sorted(logic.free_vars(f)))
     lt = {"lt": lambda a, b: a < b}
@@ -465,9 +468,7 @@ def test_ab_and_triples_match_brute(env_machines):
 
 def test_substitution_soundness(env_machines):
     # Inlining a predicate's body must give the same language as calling it.
-    env = logic.PredicateEnv()
-    env.bind("feq", ("i", "j", "n"), env_machines["feq"])
-    env.bind("feqc", ("i", "j", "n"), env_machines["feqc"])
+    env = {name: env_machines[name] for name in ("feq", "feqc")}
     either_call = compile_formula("$feq(i,j,n)|$feqc(i,j,n)", env=env)
     assert au.equivalent(either_call, env_machines["either"])
 
@@ -480,11 +481,9 @@ def test_substitution_soundness(env_machines):
 def test_consec_first_argument_variant(env_machines):
     # The shipped abbapat chains consec(i,j,k,n) with consec(j,k,l,n); the
     # variant anchored at i instead of j defines the same predicate.
-    env = logic.PredicateEnv()
-    for name in ("feq", "feqc", "either", "consec", "first", "firstc",
-                 "abfirst", "abb", "bba", "baa", "aab"):
-        machine = env_machines[name]
-        env.bind(name, machine.tracks, machine)
+    env = {name: env_machines[name]
+           for name in ("feq", "feqc", "either", "consec", "first", "firstc",
+                        "abfirst", "abb", "bba", "baa", "aab")}
     variant = compile_formula(
         '(n>0) & $abfirst(i,n) & Aj,k,l ($consec(i,j,k,n) & $consec(i,k,l,n))'
         ' => ($abb(i,j,k,l,n) | $bba(i,j,k,l,n) | $baa(i,j,k,l,n) |'
@@ -532,7 +531,7 @@ def test_run_script_counting_needs_free_parameter():
 
 def test_run_script_records_sizes_and_timing():
     report = run_script('def p "x<y":\neval q "Ex,y x<y":')
-    assert all(c.states >= 1 for c in report.commands)
+    assert all(c.automaton.num_states >= 1 for c in report.commands)
     assert all(c.elapsed_ms >= 0 for c in report.commands)
 
 
