@@ -116,7 +116,7 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         sig_ids: dict[tuple, int] = {}
         new_block = [0] * n
         for q in range(n):
-            sig = (block[q],) + tuple(block[t] for t in trans[q])
+            sig = (block[q], *map(block.__getitem__, trans[q]))
             new_block[q] = sig_ids.setdefault(sig, len(sig_ids))
         stable = len(sig_ids) == n_blocks
         block = new_block

@@ -29,6 +29,12 @@ alphabetical order; ``$name(...)`` binds arguments positionally to them.
 A compiled machine's tracks are exactly its formula's free variables, so
 the compiler narrows each ``E`` scope by reading the tracks of its
 body's compiled conjuncts, and compiles ``Av p`` as ``~Ev ~p``.
+
+A sum or numeral gets a fresh track named by its place in its own atom,
+so equal atoms compile to equal machines wherever they occur.  One
+``Compiler`` serves a whole ``run_script`` call and keeps a computed table
+of ``product`` and ``project`` results keyed by their exact operands;
+machines are canonical, so a table hit returns the bytes a rebuild would.
 """
 
 from __future__ import annotations
@@ -422,31 +428,55 @@ def parse_script(source: str) -> list[Command]:
 # Compiler
 
 
+def _key(a: au.MultiTrackAutomaton) -> tuple:
+    """A machine's exact bytes, as a computed-table key."""
+    return (a.tracks, a.transitions, a.initial, a.accepting)
+
+
 class Compiler:
+    """Compiles formulas over one predicate environment, which a caller may
+    extend between calls.  ``product`` and ``project`` results are kept in a
+    computed table keyed by their exact operands: canonical machines make
+    each result a function of its operands' bytes, so a hit is exact.  The
+    table lives as long as the compiler, one ``run_script`` or
+    ``compile_formula`` call."""
+
     def __init__(self, env: dict | None = None, dfao: au.Dfao | None = None,
                  state_cap: int = DEFAULT_STATE_CAP):
         self.env = env if env is not None else {}
         self.dfao = dfao if dfao is not None else au.tm_dfao()
         self.state_cap = state_cap
-        self._fresh_counter = 0
+        self._table = {}
 
-    def _fresh(self) -> str:
-        self._fresh_counter += 1
-        return f"{_FRESH_PREFIX}{self._fresh_counter}"
+    def _product(self, a, b, op) -> au.MultiTrackAutomaton:
+        key = (_key(a), _key(b), op)
+        result = self._table.get(key)
+        if result is None:
+            result = self._table[key] = au.product(a, b, op, self.state_cap)
+        return result
+
+    def _project(self, a, track) -> au.MultiTrackAutomaton:
+        key = (_key(a), track)
+        result = self._table.get(key)
+        if result is None:
+            result = self._table[key] = au.project(a, track, self.state_cap)
+        return result
 
     def _name(self, term, defs) -> str:
         """The track holding ``term``.  A sum or a numeral gets a fresh
-        track, appended to ``defs`` with the machine that defines it."""
+        track, appended to ``defs`` with the machine that defines it.  Fresh
+        names only need to differ within one atom, whose ``_bind`` projects
+        them all, so equal atoms build equal machines."""
         if isinstance(term, Var):
             return term.name
         if isinstance(term, Const):
-            v = self._fresh()
+            v = f"{_FRESH_PREFIX}{len(defs)}"
             defs.append((v, au.constant(term.value, v)))
             return v
         if isinstance(term, Sum):
             a = self._name(term.left, defs)
             b = self._name(term.right, defs)
-            out = self._fresh()
+            out = f"{_FRESH_PREFIX}{len(defs)}"
             defs.append((out, au.adder(a, b, out)))
             return out
         raise CompileError(f"not a term: {term!r}")
@@ -456,9 +486,8 @@ class Compiler:
         latest first.  Exact: each fresh track is defined by one machine
         and used only by entries created after it."""
         for track, definition in reversed(defs):
-            machine = au.project(
-                au.product(machine, definition, "and", self.state_cap),
-                track, self.state_cap)
+            machine = self._project(self._product(machine, definition, "and"),
+                                    track)
         return machine
 
     def compile(self, f) -> au.MultiTrackAutomaton:
@@ -477,10 +506,9 @@ class Compiler:
                 core = au.seq_const(self.dfao, u, bit)
             else:
                 v = self._name(f.right, defs)
-                core = au.product(au.seq_const(self.dfao, u, 1),
-                                  au.seq_const(self.dfao, v, 1),
-                                  "iff" if f.op == "=" else "xor",
-                                  self.state_cap)
+                core = self._product(au.seq_const(self.dfao, u, 1),
+                                     au.seq_const(self.dfao, v, 1),
+                                     "iff" if f.op == "=" else "xor")
             return self._bind(core, defs)
         if isinstance(f, Not):
             return au.complement(self.compile(f.body))
@@ -490,8 +518,8 @@ class Compiler:
             return au.complement(self.compile(Exists(f.var, Not(f.body))))
         if isinstance(f, (Or, Implies, Iff)):
             op = {Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-            return au.product(self.compile(f.left), self.compile(f.right),
-                              op, self.state_cap)
+            return self._product(self.compile(f.left),
+                                 self.compile(f.right), op)
         if isinstance(f, Call):
             return self._compile_call(f)
         raise CompileError(f"not a formula: {f!r}")
@@ -510,14 +538,13 @@ class Compiler:
             for m in self._conjuncts(f.body):
                 (inside if f.var in m.tracks else outside).append(m)
             if inside:
-                outside.append(au.project(self._conjoin(inside), f.var,
-                                          self.state_cap))
+                outside.append(self._project(self._conjoin(inside), f.var))
             return outside
         return [self.compile(f)]
 
     def _conjoin(self, machines) -> au.MultiTrackAutomaton:
         return functools.reduce(
-            lambda a, b: au.product(a, b, "and", self.state_cap), machines)
+            lambda a, b: self._product(a, b, "and"), machines)
 
     def _compile_call(self, call: Call) -> au.MultiTrackAutomaton:
         stored = self.env.get(call.name)
@@ -538,7 +565,8 @@ class Compiler:
 def compile_formula(f, env=None, dfao=None,
                     state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
     """Canonical automaton of ``f`` on exactly its free variables (tracks
-    sorted by name)."""
+    sorted by name), from a fresh ``Compiler``: no computed-table entry
+    outlives the call."""
     if isinstance(f, str):
         f = parse_formula(f)
     return Compiler(env, dfao, state_cap).compile(f)
@@ -571,9 +599,6 @@ class CommandResult:
 class ProofReport:
     commands: list[CommandResult] = field(default_factory=list)
 
-    def verdicts(self) -> dict[str, str]:
-        return {c.name: c.verdict for c in self.commands if c.kind != "def"}
-
     def result(self, name: str) -> CommandResult:
         for c in self.commands:
             if c.name == name:
@@ -584,17 +609,21 @@ class ProofReport:
 def run_script(source: str, dfao=None,
                state_cap: int = DEFAULT_STATE_CAP) -> ProofReport:
     """Execute a script: defs populate the environment in order, evals are
-    decided (or compiled, for the counting/free-variable forms)."""
+    decided (or compiled, for the counting/free-variable forms).  Every
+    command compiles through one ``Compiler``, so a ``product`` or
+    ``project`` that an earlier command already made is looked up, not
+    rebuilt, and its time counts only in that earlier command."""
     env = {}
     report = ProofReport()
     try:
         commands = parse_script(source)
     except ParseError as exc:
         raise ScriptError(str(exc)) from exc
+    compiler = Compiler(env, dfao, state_cap)
     for cmd in commands:
         start = time.perf_counter()
         try:
-            machine = compile_formula(cmd.formula, env, dfao, state_cap)
+            machine = compiler.compile(cmd.formula)
             params = machine.tracks
             if cmd.kind == "def":
                 env[cmd.name] = machine

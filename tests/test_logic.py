@@ -495,21 +495,25 @@ def test_consec_first_argument_variant(env_machines):
 # Script execution
 
 
+def verdicts(report):
+    return {c.name: c.verdict for c in report.commands if c.kind != "def"}
+
+
 def test_run_script_proof_fixture():
     report = run_script(THM1)
-    assert report.verdicts() == {"alloccur": "TRUE", "checkeach": "TRUE"}
+    assert verdicts(report) == {"alloccur": "TRUE", "checkeach": "TRUE"}
 
 
 def test_run_script_trivial():
     report = run_script('def id "x=x":')
     assert len(report.commands) == 1
     assert report.commands[0].kind == "def"
-    assert report.verdicts() == {}
+    assert verdicts(report) == {}
 
 
 def test_run_script_false_sentence():
     report = run_script('eval bogus "Ex x<0":')
-    assert report.verdicts() == {"bogus": "FALSE"}
+    assert verdicts(report) == {"bogus": "FALSE"}
 
 
 def test_run_script_rebinding_rejected():
@@ -545,4 +549,59 @@ def test_corrupted_sequence_machine_changes_verdicts():
     bad = run_script(THM1, dfao=bad_dfao)
     assert not au.equivalent(good.result("feq").automaton,
                              bad.result("feq").automaton)
-    assert bad.verdicts() == {"alloccur": "FALSE", "checkeach": "FALSE"}
+    assert verdicts(bad) == {"alloccur": "FALSE", "checkeach": "FALSE"}
+
+
+# ---------------------------------------------------------------------------
+# Computed table
+
+
+@pytest.fixture
+def op_calls(monkeypatch):
+    """Counts of the ``product`` and ``project`` constructions made."""
+    calls = {"product": 0, "project": 0}
+    for name in calls:
+        original = getattr(au, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(au, name, counted)
+    return calls
+
+
+def test_repeated_atom_is_served_from_the_table(op_calls):
+    run_script('def p "x+1=y":')
+    alone = dict(op_calls)
+    op_calls.update(product=0, project=0)
+    run_script('def p "x+1=y":\ndef q "x+1=y":')
+    # Compiling q builds nothing: its fresh tracks are named as in p.
+    assert op_calls == alone and alone["project"] > 0
+
+
+def test_no_table_outlives_its_call(op_calls):
+    for call in (lambda: run_script(THM1),
+                 lambda: compile_formula("Ex,y T[i+x]=T[j+y+1] & x<y")):
+        counts = []
+        for _ in range(2):
+            op_calls.update(product=0, project=0)
+            call()
+            counts.append(dict(op_calls))
+        assert counts[0] == counts[1] and counts[0]["product"] > 0
+
+
+@pytest.mark.parametrize("name", ["paper_thm1.wal", "paper_thm2.wal",
+                                  "paper_count.wal"])
+def test_shared_compiler_matches_one_compile_per_command(name):
+    source = (FIXTURES / name).read_text()
+    commands = parse_script(source)
+    report = run_script(source)
+    assert len(report.commands) == len(commands)
+    env = {}
+    for cmd, result in zip(commands, report.commands):
+        machine = compile_formula(cmd.formula, env)
+        assert au.to_compact_text(result.automaton) == \
+            au.to_compact_text(machine), cmd.name
+        if cmd.kind == "def":
+            env[cmd.name] = machine
