@@ -2,7 +2,6 @@
 
 from tmprover.core import (
     PatternClass,
-    classify_factor,
     classify_lengths,
     generate_prefix,
     scan_occurrences,
@@ -13,7 +12,6 @@ from tmprover.logic import compile_formula, decide, parse_formula, run_script
 
 __all__ = [
     "PatternClass",
-    "classify_factor",
     "classify_lengths",
     "compile_formula",
     "decide",

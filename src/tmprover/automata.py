@@ -21,8 +21,6 @@ machines accept a repeated track name.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 DEFAULT_STATE_CAP = 1 << 20
 
 
@@ -412,44 +410,19 @@ def empty(tracks=()) -> MultiTrackAutomaton:
 
 
 # ---------------------------------------------------------------------------
-# DFAO: automaton with output, used for sequence indexing
+# The Thue-Morse sequence
 
 
-@dataclass(frozen=True)
-class Dfao:
-    """Single-track automaton with a binary output on every state."""
-
-    transitions: tuple[tuple[int, int], ...]
-    initial: int
-    output: tuple[int, ...]
-
-    def value(self, k: int) -> int:
-        """Output after reading the LSD-first digits of k."""
-        q = self.initial
-        while k:
-            q = self.transitions[q][k & 1]
-            k >>= 1
-        return self.output[q]
-
-
-def tm_dfao() -> Dfao:
-    """Two-state parity machine computing the Thue-Morse sequence.
-
-    Popcount parity is digit-order invariant, so the same machine serves
-    both reading conventions.
-    """
-    return Dfao(((0, 1), (1, 0)), 0, (0, 1))
-
-
-def seq_const(dfao: Dfao, u: str, bit: int) -> MultiTrackAutomaton:
-    """Machine for  seq[u] = bit: the DFAO read on track ``u``.  Every
-    sequence comparison is built from it, ``seq[u] = seq[v]`` as the
-    ``iff`` product of ``seq[u] = 1`` and ``seq[v] = 1``."""
+def seq_const(u: str, bit: int) -> MultiTrackAutomaton:
+    """Machine for  T[u] = bit: the two-state parity machine on track
+    ``u``, whose state is the parity of the 1 digits read so far.  Parity
+    does not depend on digit order, and a trailing 0 leaves it unchanged,
+    so the machine is zero-closed.  Every sequence comparison is built
+    from it, ``T[u] = T[v]`` as the ``iff`` product of ``T[u] = 1`` and
+    ``T[v] = 1``."""
     if bit not in (0, 1):
         raise ValueError("sequence values are binary")
-    accepting = {q for q, o in enumerate(dfao.output) if o == bit}
-    return minimize(MultiTrackAutomaton((u,), dfao.transitions, dfao.initial,
-                                        accepting))
+    return minimize(MultiTrackAutomaton((u,), ((0, 1), (1, 0)), 0, {bit}))
 
 
 # ---------------------------------------------------------------------------

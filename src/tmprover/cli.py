@@ -77,9 +77,8 @@ def _load_expectations(path: str) -> dict[str, str]:
     return expectations
 
 
-def _pattern_machines(state_cap: int, dfao=None) -> dict[str, object]:
-    report = logic.run_script(fixture_text("paper_thm1.wal"), dfao=dfao,
-                              state_cap=state_cap)
+def _pattern_machines(state_cap: int) -> dict[str, object]:
+    report = logic.run_script(fixture_text("paper_thm1.wal"), state_cap)
     return {c.name: c.automaton for c in report.commands if c.kind == "def"}
 
 
@@ -91,9 +90,8 @@ def _automaton_route(machines, start: int, length: int):
     return hits, _PATTERN_TO_CLASS[hits[0]] if len(hits) == 1 else None
 
 
-def _counting_reps(state_cap: int, dfao=None):
-    report = logic.run_script(fixture_text("paper_count.wal"), dfao=dfao,
-                              state_cap=state_cap)
+def _counting_reps(state_cap: int):
+    report = logic.run_script(fixture_text("paper_count.wal"), state_cap)
     out = {}
     for name in ("mab", "mabba"):
         machine = report.result(name).automaton
@@ -249,9 +247,11 @@ def cmd_export(args) -> int:
 # selftest
 
 
-def _selftest_sequence(dfao) -> list[str]:
+def _selftest_sequence() -> list[str]:
     failures = []
-    if any(dfao.value(k) != core.tm_bit(k) for k in range(1 << 12)):
+    machine = au.seq_const("k", 1)
+    if any(au.accepts(machine, [k]) != core.tm_bit(k)
+           for k in range(1 << 12)):
         failures.append("sequence machine disagrees with bit parity")
     return failures
 
@@ -272,9 +272,9 @@ def _selftest_algebra(rng) -> list[str]:
     return failures
 
 
-def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
+def _selftest_classification(window, min_occ, state_cap) -> list[str]:
     failures = []
-    machines = _pattern_machines(state_cap, dfao)
+    machines = _pattern_machines(state_cap)
     word = core.generate_prefix(window)
     lengths = core.classify_lengths(SELFTEST_MAX_LENGTH, window, min_occ)
     for n in range(1, SELFTEST_MAX_LENGTH + 1):
@@ -304,9 +304,9 @@ def _selftest_classification(window, min_occ, state_cap, dfao) -> list[str]:
     return failures
 
 
-def _selftest_counting(state_cap, dfao) -> list[str]:
+def _selftest_counting(state_cap) -> list[str]:
     failures = []
-    reps = _counting_reps(state_cap, dfao)
+    reps = _counting_reps(state_cap)
     for n, classes in enumerate(core.classify_lengths(32, 1 << 14), 1):
         counts = Counter(classes.values())
         for name, cls in (("mab", core.PatternClass.AB),
@@ -324,8 +324,7 @@ def _selftest_counting(state_cap, dfao) -> list[str]:
         reps["mab"], linrep.reverse_rep(linrep.scale(r2, 2))))
     if diff.dim != 1 or linrep.evaluate(diff, 0) != -2:
         failures.append("counting identity defect is not -2[n=0] of rank 1")
-    if linrep.minimize_rep(linrep.subtract(
-            reps["mabba"], linrep.reverse_rep(r4))).dim != 0:
+    if not linrep.equal_reps(reps["mabba"], r4):
         failures.append("counting identity for the ABBA class is not rank 0")
     return failures
 
@@ -334,16 +333,13 @@ def cmd_selftest(args) -> int:
     if args.window < SELFTEST_MAX_LENGTH:
         raise ValueError(f"--window {args.window} is shorter than the longest "
                          f"factor selftest classifies ({SELFTEST_MAX_LENGTH})")
-    dfao = au.tm_dfao()
-    if args.corrupt_dfao:
-        dfao = au.Dfao(((0, 1), (1, 1)), 0, (0, 1))  # deliberate fault hook
     rng = random.Random(20250808)
     suites = (
-        ("sequence", lambda: _selftest_sequence(dfao)),
+        ("sequence", _selftest_sequence),
         ("algebra", lambda: _selftest_algebra(rng)),
         ("classification", lambda: _selftest_classification(
-            args.window, args.min_occ, args.state_cap, dfao)),
-        ("counting", lambda: _selftest_counting(args.state_cap, dfao)),
+            args.window, args.min_occ, args.state_cap)),
+        ("counting", lambda: _selftest_counting(args.state_cap)),
     )
     # Every suite runs before anything is printed, so a usage or resource
     # error raised by a later suite leaves stdout empty.
@@ -396,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("selftest", help="oracle-vs-automata invariant suites")
-    p.add_argument("--corrupt-dfao", action="store_true",
-                   help=argparse.SUPPRESS)  # fault-injection test hook
     p.set_defaults(func=cmd_selftest)
 
     return parser

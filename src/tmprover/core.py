@@ -45,21 +45,17 @@ def tm_bit(k: int) -> int:
     return bin(k).count("1") & 1
 
 
-def generate_prefix(length: int, max_length: int = MAX_PREFIX_LENGTH) -> str:
+def generate_prefix(length: int) -> str:
     """Thue-Morse 0/1 prefix by repeated doubling (s -> s + complement(s))."""
     if length < 0:
         raise ValueError("length must be nonnegative")
-    if length > max_length:
-        raise ResourceLimitError(f"prefix length {length} exceeds cap {max_length}")
+    if length > MAX_PREFIX_LENGTH:
+        raise ResourceLimitError(
+            f"prefix length {length} exceeds cap {MAX_PREFIX_LENGTH}")
     s = "0"
     while len(s) < length:
         s += s.translate(_COMPLEMENT)
     return s[:length]
-
-
-@functools.lru_cache(maxsize=4)
-def _cached_prefix(length: int) -> str:
-    return generate_prefix(length)
 
 
 class PatternClass(Enum):
@@ -149,13 +145,6 @@ def classify_pattern(entries, length: int,
                            min_occurrences)
 
 
-def classify_factor(start: int, length: int, window: int = DEFAULT_WINDOW,
-                    min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> PatternClass:
-    """Brute-force intertwining class of the factor t[start .. start+length-1]."""
-    entries = scan_occurrences(_cached_prefix(window), start, length)
-    return classify_pattern(entries, length, min_occurrences)
-
-
 def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
                      min_occurrences: int = DEFAULT_MIN_OCCURRENCES,
                      ) -> Iterator[dict[str, PatternClass]]:
@@ -172,7 +161,7 @@ def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
     """
     if n_max < 1:
         raise ValueError("factor length must be >= 1")
-    word = _cached_prefix(window)
+    word = generate_prefix(window)
     if n_max > window:
         raise ValueError("factor longer than window")
     return _refine(word, n_max, min_occurrences)

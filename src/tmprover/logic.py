@@ -441,10 +441,9 @@ class Compiler:
     table lives as long as the compiler, one ``run_script`` or
     ``compile_formula`` call."""
 
-    def __init__(self, env: dict | None = None, dfao: au.Dfao | None = None,
+    def __init__(self, env: dict | None = None,
                  state_cap: int = DEFAULT_STATE_CAP):
         self.env = env if env is not None else {}
-        self.dfao = dfao if dfao is not None else au.tm_dfao()
         self.state_cap = state_cap
         self._table = {}
 
@@ -503,11 +502,10 @@ class Compiler:
             u = self._name(f.left, defs)
             if isinstance(f.right, int):
                 bit = f.right if f.op == "=" else 1 - f.right
-                core = au.seq_const(self.dfao, u, bit)
+                core = au.seq_const(u, bit)
             else:
                 v = self._name(f.right, defs)
-                core = self._product(au.seq_const(self.dfao, u, 1),
-                                     au.seq_const(self.dfao, v, 1),
+                core = self._product(au.seq_const(u, 1), au.seq_const(v, 1),
                                      "iff" if f.op == "=" else "xor")
             return self._bind(core, defs)
         if isinstance(f, Not):
@@ -562,24 +560,24 @@ class Compiler:
         return self._bind(au.rename_tracks(stored, mapping), defs)
 
 
-def compile_formula(f, env=None, dfao=None,
+def compile_formula(f, env=None,
                     state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
     """Canonical automaton of ``f`` on exactly its free variables (tracks
     sorted by name), from a fresh ``Compiler``: no computed-table entry
     outlives the call."""
     if isinstance(f, str):
         f = parse_formula(f)
-    return Compiler(env, dfao, state_cap).compile(f)
+    return Compiler(env, state_cap).compile(f)
 
 
-def decide(f, env=None, dfao=None, state_cap=DEFAULT_STATE_CAP) -> bool:
+def decide(f, env=None, state_cap=DEFAULT_STATE_CAP) -> bool:
     """Truth value of a sentence (a formula with no free variables)."""
     if isinstance(f, str):
         f = parse_formula(f)
     unbound = free_vars(f)
     if unbound:
         raise CompileError(f"sentence has free variables: {sorted(unbound)}")
-    return not au.is_empty(compile_formula(f, env, dfao, state_cap))
+    return not au.is_empty(compile_formula(f, env, state_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -606,7 +604,7 @@ class ProofReport:
         raise KeyError(name)
 
 
-def run_script(source: str, dfao=None,
+def run_script(source: str,
                state_cap: int = DEFAULT_STATE_CAP) -> ProofReport:
     """Execute a script: defs populate the environment in order, evals are
     decided (or compiled, for the counting/free-variable forms).  Every
@@ -619,7 +617,7 @@ def run_script(source: str, dfao=None,
         commands = parse_script(source)
     except ParseError as exc:
         raise ScriptError(str(exc)) from exc
-    compiler = Compiler(env, dfao, state_cap)
+    compiler = Compiler(env, state_cap)
     for cmd in commands:
         start = time.perf_counter()
         try:

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from tmprover import automata as au
+
 
 @pytest.fixture
 def int_digit_limit():
@@ -15,3 +17,15 @@ def int_digit_limit():
     sys.set_int_max_str_digits(4300)
     yield 4300
     sys.set_int_max_str_digits(old)
+
+
+@pytest.fixture
+def corrupt_sequence_machine(monkeypatch):
+    """A function that, once called, replaces the sequence machine for the
+    rest of the test with a faulty one: a sticky 1, which reads 1 at every
+    k >= 1 instead of at odd parity."""
+    def seq_const(u, bit):
+        return au.minimize(au.MultiTrackAutomaton(
+            (u,), ((0, 1), (1, 1)), 0, {bit}))
+
+    return lambda: monkeypatch.setattr(au, "seq_const", seq_const)

@@ -134,11 +134,17 @@ def test_criterion_6_oracle_equivalence(pattern_machines):
            f"0 disagreements): PASS")
 
 
+def classify_factor(start, length, window=core.DEFAULT_WINDOW):
+    """Oracle class of t[start .. start+length-1] in a window-long prefix."""
+    return core.classify_pattern(core.scan_occurrences(
+        core.generate_prefix(window), start, length), length)
+
+
 def test_criterion_7_intertwining_ground_truth():
-    assert core.classify_factor(1, 2) == core.PatternClass.AB
-    assert core.classify_factor(5, 2) == core.PatternClass.BA
-    assert core.classify_factor(2, 3) == core.PatternClass.ABBA
-    assert core.classify_factor(3, 3) == core.PatternClass.BAAB
+    assert classify_factor(1, 2) == core.PatternClass.AB
+    assert classify_factor(5, 2) == core.PatternClass.BA
+    assert classify_factor(2, 3) == core.PatternClass.ABBA
+    assert classify_factor(3, 3) == core.PatternClass.BAAB
     lengths = core.classify_lengths(64, window=1 << 15)
     for n, classes in enumerate(lengths, 1):
         counts = Counter(classes.values())

@@ -74,11 +74,11 @@ def test_constant_machine():
     assert not au.accepts(zero, [1])
 
 
-def test_tm_dfao_matches_tm_bit():
-    d = au.tm_dfao()
-    assert d.value(0) == 0
-    assert d.value(6) == 0
-    assert all(d.value(k) == tm_bit(k) for k in range(1 << 16))
+def test_seq_const_matches_tm_bit():
+    one = au.seq_const("k", 1)
+    assert not au.accepts(one, [0])
+    assert not au.accepts(one, [6])
+    assert all(au.accepts(one, [k]) == tm_bit(k) for k in range(1 << 16))
 
 
 def test_adder_minimal_size():
@@ -230,11 +230,11 @@ def test_zero_closed_everywhere():
 
 
 def test_seq_const_semantics():
-    m0 = au.seq_const(au.tm_dfao(), "u", 0)
+    m0 = au.seq_const("u", 0)
     for u in range(256):
         assert au.accepts(m0, [u]) == (tm_bit(u) == 0)
     with pytest.raises(ValueError, match="binary"):
-        au.seq_const(au.tm_dfao(), "u", 2)
+        au.seq_const("u", 2)
 
 
 def test_product_rejects_unknown_operator():
@@ -321,6 +321,22 @@ def test_minimization_canonicity_randomized():
 
 def _assert_canonical(m):
     assert au.to_compact_text(m) == au.to_compact_text(au.minimize(m))
+
+
+def test_base_machines_are_canonical():
+    # The compiler's computed table is keyed by exact bytes, so the base
+    # machines must be canonical too, repeated track names included.
+    machines = [au.comparison(left, right, op)
+                for op in ("=", "!=", "<", "<=", ">", ">=")
+                for left, right in (("x", "y"), ("y", "x"), ("x", "x"))]
+    machines += [au.adder(*names) for names in (
+        ("x", "y", "z"), ("x", "x", "y"), ("x", "y", "x"), ("x", "x", "x"))]
+    machines += [au.constant(v, "x") for v in range(41)]
+    machines += [au.seq_const("u", b) for b in (0, 1)]
+    assert len(machines) == 65
+    for m in machines:
+        _assert_canonical(m)
+        assert au.is_zero_closed(m)
 
 
 def test_rename_tracks_returns_canonical_machines():

@@ -372,8 +372,10 @@ def test_selftest_passes(capsys):
     assert "overall: pass" in out
 
 
-def test_selftest_catches_corrupted_dfao(capsys):
-    code = run_cli("selftest", "--corrupt-dfao")
+def test_selftest_catches_corrupted_sequence_machine(
+        capsys, corrupt_sequence_machine):
+    corrupt_sequence_machine()
+    code = run_cli("selftest")
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL" in out

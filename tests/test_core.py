@@ -13,7 +13,6 @@ from tmprover.core import (
     ResourceLimitError,
     a006165,
     a060973,
-    classify_factor,
     classify_lengths,
     classify_pattern,
     f_closed,
@@ -64,7 +63,7 @@ def test_generate_prefix_matches_tm_bit(n):
 
 def test_generate_prefix_cap():
     with pytest.raises(ResourceLimitError):
-        generate_prefix(1 << 20, max_length=1 << 10)
+        generate_prefix(core.MAX_PREFIX_LENGTH + 1)
 
 
 def test_scan_occurrences_00_window16():
@@ -109,6 +108,12 @@ def test_scan_occurrences_out_of_range():
 def test_scan_occurrences_rejects_bad_factors(start, length, message):
     with pytest.raises(ValueError, match=message):
         scan_occurrences(generate_prefix(8), start, length)
+
+
+def classify_factor(start, length, window=core.DEFAULT_WINDOW):
+    """Oracle class of t[start .. start+length-1] in a window-long prefix."""
+    return classify_pattern(
+        scan_occurrences(generate_prefix(window), start, length), length)
 
 
 def test_classify_anchor_factors():

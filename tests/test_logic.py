@@ -539,14 +539,15 @@ def test_run_script_records_sizes_and_timing():
     assert all(c.elapsed_ms >= 0 for c in report.commands)
 
 
-def test_corrupted_sequence_machine_changes_verdicts():
+def test_corrupted_sequence_machine_changes_verdicts(
+        corrupt_sequence_machine):
     # A sequence machine with broken transitions (here: sticky 1, i.e. the
     # indicator of k >= 1) must change the compiled predicates and flip the
     # proof verdicts.  Note an output *flip* would be invisible: the chain
     # only ever compares sequence values with each other.
-    bad_dfao = au.Dfao(((0, 1), (1, 1)), 0, (0, 1))
     good = run_script(THM1)
-    bad = run_script(THM1, dfao=bad_dfao)
+    corrupt_sequence_machine()
+    bad = run_script(THM1)
     assert not au.equivalent(good.result("feq").automaton,
                              bad.result("feq").automaton)
     assert verdicts(bad) == {"alloccur": "FALSE", "checkeach": "FALSE"}
