@@ -140,8 +140,10 @@ def is_zero_closed(a: MultiTrackAutomaton) -> bool:
 
 def _saturate(accepting, successors) -> set:
     """States from which the moves in ``successors`` can reach
-    ``accepting``; ``successors[q]`` lists the states q moves to (only on
-    the zero symbol, for zero-closure)."""
+    ``accepting``; ``successors[q]`` lists the states q moves to.  Its
+    callers are ``project`` (moves on the symbols that are zero on every
+    remaining track) and ``linrep`` (moves on any symbol: the live
+    states)."""
     saturated = set(accepting)
     changed = True
     while changed:
@@ -151,29 +153,6 @@ def _saturate(accepting, successors) -> set:
                 saturated.add(q)
                 changed = True
     return saturated
-
-
-def zero_close(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """Closure of the language under the value semantics.
-
-    Accepts a word iff some encoding of the same value tuple was accepted.
-    Pairs the running state with the state reached after the last nonzero
-    symbol; acceptance asks whether that anchor state can reach acceptance
-    by all-zero symbols alone.  More than DEFAULT_STATE_CAP pairs raise
-    StateLimitError.
-    """
-    saturated = _saturate(a.accepting, [(row[0],) for row in a.transitions])
-
-    def successors(key):
-        cur, anchor = key
-        row = a.transitions[cur]
-        return [(row[0], anchor)] + [(t, t) for t in row[1:]]
-
-    result = minimize(_explore(a.tracks, (a.initial, a.initial), successors,
-                               lambda key: key[1] in saturated,
-                               DEFAULT_STATE_CAP))
-    assert is_zero_closed(result)
-    return result
 
 
 def _reread(a: MultiTrackAutomaton, names, schema) -> tuple:

@@ -280,20 +280,6 @@ def equal_reps(a: LinearRepresentation, b: LinearRepresentation) -> bool:
 # Fixture files
 
 
-def dump_representation(rep: LinearRepresentation) -> str:
-    lines = [f"order {'msd' if rep.msd_first else 'lsd'}", f"dim {rep.dim}"]
-
-    def fmt(xs):
-        return " ".join(map(str, xs))
-
-    lines.append(fmt(rep.v))
-    for d in (0, 1):
-        for row in rep.gamma[d]:
-            lines.append(fmt(row))
-    lines.append(fmt(rep.w))
-    return "\n".join(lines) + "\n"
-
-
 def load_representation(text: str) -> LinearRepresentation:
     tokens = []
     for line in text.splitlines():

@@ -46,8 +46,7 @@ from dataclasses import dataclass, field
 
 from tmprover import automata as au
 
-DEFAULT_STATE_CAP = au.DEFAULT_STATE_CAP
-
+# A NAME token starts with a letter, so no variable can take a fresh name.
 _FRESH_PREFIX = "_t"
 
 
@@ -355,8 +354,6 @@ class _Parser:
     def parse_primary(self):
         tok = self.peek()
         if tok.kind == "NAME":
-            if tok.value.startswith(_FRESH_PREFIX):
-                self.fail(f"identifiers may not start with {_FRESH_PREFIX!r}")
             self.next()
             return Var(tok.value)
         if tok.kind == "INT":
@@ -442,7 +439,7 @@ class Compiler:
     ``compile_formula`` call."""
 
     def __init__(self, env: dict | None = None,
-                 state_cap: int = DEFAULT_STATE_CAP):
+                 state_cap: int = au.DEFAULT_STATE_CAP):
         self.env = env if env is not None else {}
         self.state_cap = state_cap
         self._table = {}
@@ -561,7 +558,7 @@ class Compiler:
 
 
 def compile_formula(f, env=None,
-                    state_cap=DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
+                    state_cap=au.DEFAULT_STATE_CAP) -> au.MultiTrackAutomaton:
     """Canonical automaton of ``f`` on exactly its free variables (tracks
     sorted by name), from a fresh ``Compiler``: no computed-table entry
     outlives the call."""
@@ -570,7 +567,7 @@ def compile_formula(f, env=None,
     return Compiler(env, state_cap).compile(f)
 
 
-def decide(f, env=None, state_cap=DEFAULT_STATE_CAP) -> bool:
+def decide(f, env=None, state_cap=au.DEFAULT_STATE_CAP) -> bool:
     """Truth value of a sentence (a formula with no free variables)."""
     if isinstance(f, str):
         f = parse_formula(f)
@@ -605,7 +602,7 @@ class ProofReport:
 
 
 def run_script(source: str,
-               state_cap: int = DEFAULT_STATE_CAP) -> ProofReport:
+               state_cap: int = au.DEFAULT_STATE_CAP) -> ProofReport:
     """Execute a script: defs populate the environment in order, evals are
     decided (or compiled, for the counting/free-variable forms).  Every
     command compiles through one ``Compiler``, so a ``product`` or

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from random_machines import random_machine
 from tmprover import automata as au
 from tmprover import cli, core, linrep
 
@@ -157,15 +158,6 @@ def test_criterion_7_intertwining_ground_truth():
     report("criterion 7 (anchors; n=2 two classes; n>=3 all four): PASS")
 
 
-def _random_machine(rng, tracks, max_states=5):
-    n = rng.randint(1, max_states)
-    n_sym = 1 << len(tracks)
-    trans = [[rng.randrange(n) for _ in range(n_sym)] for _ in range(n)]
-    accepting = {q for q in range(n) if rng.random() < 0.4}
-    return au.zero_close(au.MultiTrackAutomaton(
-        tuple(sorted(tracks)), trans, 0, accepting))
-
-
 def _exists_witness(machine, x, x_pos, y_pos):
     """Reference check for 'some y makes (x, y) accepted', by plain BFS."""
     states = {machine.initial}
@@ -185,8 +177,8 @@ def _exists_witness(machine, x, x_pos, y_pos):
 def test_criterion_8_algebra_suite(extracted_reps):
     rng = random.Random(987654321)
     for trial in range(500):
-        a = _random_machine(rng, ("x", "y"))
-        b = _random_machine(rng, ("x", "y"))
+        a = random_machine(rng, ("x", "y"))
+        b = random_machine(rng, ("x", "y"))
         # De Morgan
         lhs = au.complement(au.product(a, b, "and"))
         rhs = au.product(au.complement(a), au.complement(b), "or")

@@ -7,18 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from random_machines import random_machine, zero_close
 from tmprover import automata as au
 from tmprover.core import tm_bit
-
-
-def random_machine(rng, tracks=("x",), max_states=5):
-    """Random zero-closed automaton over the given tracks."""
-    n = rng.randint(1, max_states)
-    n_sym = 1 << len(tracks)
-    trans = [[rng.randrange(n) for _ in range(n_sym)] for _ in range(n)]
-    accepting = {q for q in range(n) if rng.random() < 0.4}
-    raw = au.MultiTrackAutomaton(tuple(sorted(tracks)), trans, 0, accepting)
-    return au.zero_close(raw)
 
 
 def test_base_add_accepts_sums():
@@ -364,7 +355,7 @@ def test_operations_return_canonical_machines():
         for track in tracks:
             _assert_canonical(au.project(a, track))
         _assert_canonical(au.complement(a))
-        _assert_canonical(au.zero_close(a))
+        _assert_canonical(zero_close(a))
         _assert_canonical(au.run_reversed(a))
 
 

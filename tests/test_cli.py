@@ -4,6 +4,7 @@ import importlib.resources
 
 import pytest
 
+from tmprover import automata as au
 from tmprover import cli, core
 
 FIXTURES = importlib.resources.files("tmprover") / "fixtures"
@@ -379,6 +380,21 @@ def test_selftest_catches_corrupted_sequence_machine(
     out = capsys.readouterr().out
     assert code != 0
     assert "FAIL" in out
+
+
+def test_selftest_algebra_fails_on_a_broken_emptiness_test(capsys,
+                                                          monkeypatch):
+    """The algebra suite checks the compiled pattern machines: with an
+    emptiness test that never says empty, it fails and names a machine,
+    while the suites that do not read emptiness still pass."""
+    monkeypatch.setattr(au, "is_empty", lambda a: False)
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.algebra: FAIL" in out
+    assert "  - algebra feq: a & ~a nonempty" in out
+    assert "selftest.classification: pass" in out
+    assert "selftest.counting: pass" in out
 
 
 def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):

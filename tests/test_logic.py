@@ -115,8 +115,9 @@ def test_token_positions(text, want):
 
 
 @pytest.mark.parametrize("text, col", [("x=\u00b2", 5), ("\u00e9=1", 3),
-                                       ("x=\u0663", 5)],
-                         ids=["superscript-two", "e-acute", "arabic-three"])
+                                       ("x=\u0663", 5), ("x=_t0", 5)],
+                         ids=["superscript-two", "e-acute", "arabic-three",
+                              "fresh-track-prefix"])
 def test_names_and_numerals_are_ascii(text, col):
     with pytest.raises(ParseError, match="unexpected character") as err:
         parse_formula("0=0 &\n  " + text)
