@@ -257,13 +257,10 @@ def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
     only renumbered breadth first; a merge may not, so it is minimized."""
     names = [mapping.get(t, t) for t in a.tracks]
     schema = tuple(sorted(set(names)))
-    rows = _reread(a, names, schema)
-    if len(schema) < len(names):
-        return minimize(MultiTrackAutomaton(schema, rows, a.initial,
-                                            a.accepting))
     # A walk finds at most num_states states, so this cap is never reached.
-    return _explore(schema, a.initial, rows.__getitem__,
-                    a.accepting.__contains__, a.num_states)
+    walked = _explore(schema, a.initial, _reread(a, names, schema).__getitem__,
+                      a.accepting.__contains__, a.num_states)
+    return minimize(walked) if len(schema) < len(names) else walked
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
@@ -309,8 +306,9 @@ def run_reversed(a: MultiTrackAutomaton,
 # Base relation machines
 
 
-def _build(tracks: dict, n_states: int, initial: int, accepting, step):
-    """Small-machine helper: ``step(state, digits_by_role) -> state``.
+def _build(tracks: dict, initial, accepting, step):
+    """Small-machine helper: the machine reachable from ``initial`` by
+    ``step(state, digits_by_role) -> state``, minimized.
 
     ``tracks`` maps role name -> track name; the resulting machine has its
     tracks sorted by name as required; roles on the same track read its
@@ -318,15 +316,11 @@ def _build(tracks: dict, n_states: int, initial: int, accepting, step):
     """
     names = sorted(set(tracks.values()))
     positions = {role: names.index(track) for role, track in tracks.items()}
-    n_sym = 1 << len(names)
-    trans = []
-    for q in range(n_states):
-        row = []
-        for sym in range(n_sym):
-            digits = {role: (sym >> pos) & 1 for role, pos in positions.items()}
-            row.append(step(q, digits))
-        trans.append(row)
-    return minimize(MultiTrackAutomaton(names, trans, initial, accepting))
+    digits = [{role: sym >> pos & 1 for role, pos in positions.items()}
+              for sym in range(1 << len(names))]
+    return minimize(_explore(names, initial,
+                             lambda q: [step(q, d) for d in digits],
+                             accepting.__contains__, DEFAULT_STATE_CAP))
 
 
 _CMP_ACCEPT = {
@@ -349,7 +343,7 @@ def comparison(left: str, right: str, op: str) -> MultiTrackAutomaton:
             return q
         return 1 if d["l"] < d["r"] else 2
 
-    return _build({"l": left, "r": right}, 3, 0, _CMP_ACCEPT[op], step)
+    return _build({"l": left, "r": right}, 0, _CMP_ACCEPT[op], step)
 
 
 def adder(x: str, y: str, z: str) -> MultiTrackAutomaton:
@@ -361,7 +355,7 @@ def adder(x: str, y: str, z: str) -> MultiTrackAutomaton:
         total = d["x"] + d["y"] + q
         return total // 2 if total % 2 == d["z"] else 2
 
-    return _build({"x": x, "y": y, "z": z}, 3, 0, {0}, step)
+    return _build({"x": x, "y": y, "z": z}, 0, {0}, step)
 
 
 def constant(value: int, track: str) -> MultiTrackAutomaton:
@@ -379,7 +373,7 @@ def constant(value: int, track: str) -> MultiTrackAutomaton:
             return q + 1 if d["v"] == digits[q] else dead
         return n if d["v"] == 0 else dead
 
-    return _build({"v": track}, n + 2, 0, {n}, step)
+    return _build({"v": track}, 0, {n}, step)
 
 
 def empty(tracks=()) -> MultiTrackAutomaton:
@@ -401,7 +395,7 @@ def seq_const(u: str, bit: int) -> MultiTrackAutomaton:
     ``T[v] = 1``."""
     if bit not in (0, 1):
         raise ValueError("sequence values are binary")
-    return minimize(MultiTrackAutomaton((u,), ((0, 1), (1, 0)), 0, {bit}))
+    return _build({"u": u}, 0, {bit}, lambda q, d: q ^ d["u"])
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,14 @@ def cmd_classify(args) -> int:
 # count
 
 
+def _agree(routes) -> bool:
+    return len(set(routes.values())) == 1
+
+
+def _show(routes) -> str:
+    return ",".join(f"{k}={v}" for k, v in sorted(routes.items()))
+
+
 def _route_values(n: int, reps, classes):
     counts = Counter(classes.values())
     f_routes = {"brute": counts[core.PatternClass.AB]}
@@ -209,14 +217,11 @@ def cmd_count(args) -> int:
     lengths = core.classify_lengths(args.n_max, args.window, args.min_occ)
     for n, classes in enumerate(lengths, 1):
         f_routes, g_routes = _route_values(n, reps, classes)
-        f_vals, g_vals = set(f_routes.values()), set(g_routes.values())
-        flag = "" if len(f_vals) == 1 and len(g_vals) == 1 else "  MISMATCH"
+        flag = "" if _agree(f_routes) and _agree(g_routes) else "  MISMATCH"
         if flag:
             ok = False
-        f_show = ",".join(f"{k}={v}" for k, v in sorted(f_routes.items()))
-        g_show = ",".join(f"{k}={v}" for k, v in sorted(g_routes.items()))
         table.append(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}"
-                     f"  f[{f_show}] g[{g_show}]{flag}")
+                     f"  f[{_show(f_routes)}] g[{_show(g_routes)}]{flag}")
         for key, val in f_routes.items():
             pairs[f"row.{n}.f.{key}"] = val
         for key, val in g_routes.items():
@@ -301,12 +306,10 @@ def _selftest_counting(state_cap) -> list[str]:
     failures = []
     reps = _counting_reps(state_cap)
     for n, classes in enumerate(core.classify_lengths(32, 1 << 14), 1):
-        counts = Counter(classes.values())
-        for name, cls in (("mab", core.PatternClass.AB),
-                          ("mabba", core.PatternClass.ABBA)):
-            if linrep.evaluate(reps[name], n - 1) != counts[cls]:
-                failures.append(
-                    f"{name} value differs from brute force at n={n}")
+        for name, routes in zip("fg", _route_values(n, reps, classes)):
+            if not _agree(routes):
+                failures.append(f"row {n}: {name} routes disagree "
+                                f"[{_show(routes)}]")
     r2 = linrep.from_recurrence_a006165()
     r4 = linrep.from_recurrence_a060973()
     if any(linrep.evaluate(r2, n) != core.a006165(n) for n in range(1, 65)):

@@ -28,10 +28,12 @@ alphabetical order; ``$name(...)`` binds arguments positionally to them.
 
 A compiled machine's tracks are exactly its formula's free variables, so
 the compiler narrows each ``E`` scope by reading the tracks of its
-body's compiled conjuncts, and compiles ``Av p`` as ``~Ev ~p``.
+body's compiled conjuncts, compiles ``Av p`` as ``~Ev ~p``, and
+``decide`` reads a formula's free variables off its machine.
 
 A sum or numeral gets a fresh track named by its place in its own atom,
-so equal atoms compile to equal machines wherever they occur.  One
+so equal atoms compile to equal machines wherever they occur; the atom
+eliminates its fresh tracks with the routine that narrows ``E`` scopes.  One
 ``Compiler`` serves a whole ``run_script`` call and keeps a computed table
 of ``product`` and ``project`` results keyed by their exact operands;
 machines are canonical, so a table hit returns the bytes a rebuild would.
@@ -148,34 +150,6 @@ class Call:
     args: tuple
 
 
-def term_vars(term) -> set[str]:
-    if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, Const):
-        return set()
-    return term_vars(term.left) | term_vars(term.right)
-
-
-def free_vars(f) -> set[str]:
-    if isinstance(f, Compare):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, SeqCompare):
-        right = term_vars(f.right) if not isinstance(f.right, int) else set()
-        return term_vars(f.left) | right
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return free_vars(f.left) | free_vars(f.right)
-    if isinstance(f, (Forall, Exists)):
-        return free_vars(f.body) - {f.var}
-    if isinstance(f, Call):
-        out = set()
-        for t in f.args:
-            out |= term_vars(t)
-        return out
-    raise TypeError(f"not a formula: {f!r}")
-
-
 # ---------------------------------------------------------------------------
 # Lexer
 
@@ -226,6 +200,9 @@ def tokenize(text: str) -> list[Token]:
 
 _RELOPS = {"EQ": "=", "NE": "!=", "LT": "<", "LE": "<=", "GT": ">", "GE": ">="}
 
+# Binary connectives, loosest level first; each level is left-associative.
+_BINARY = ({"IMPLIES": Implies, "IFF": Iff}, {"OR": Or}, {"AND": And})
+
 
 class _Parser:
     def __init__(self, tokens):
@@ -251,26 +228,16 @@ class _Parser:
         tok = self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def parse_formula(self):
-        f = self.parse_or()
-        while self.peek().kind in ("IMPLIES", "IFF"):
-            op = self.next().kind
-            rhs = self.parse_or()
-            f = Implies(f, rhs) if op == "IMPLIES" else Iff(f, rhs)
-        return f
-
-    def parse_or(self):
-        f = self.parse_and()
-        while self.peek().kind == "OR":
-            self.next()
-            f = Or(f, self.parse_and())
-        return f
-
-    def parse_and(self):
-        f = self.parse_unary()
-        while self.peek().kind == "AND":
-            self.next()
-            f = And(f, self.parse_unary())
+    def parse_formula(self, level=0):
+        """Connectives of ``_BINARY[level:]`` over unary formulas.  The
+        tightest level calls ``parse_unary`` itself, so a parenthesis
+        costs no extra frame of the recursion limit."""
+        last = level == len(_BINARY) - 1
+        f = self.parse_unary() if last else self.parse_formula(level + 1)
+        while self.peek().kind in _BINARY[level]:
+            node = _BINARY[level][self.next().kind]
+            f = node(f, self.parse_unary() if last
+                     else self.parse_formula(level + 1))
         return f
 
     def parse_unary(self):
@@ -302,10 +269,12 @@ class _Parser:
             self.next()
             name = self.expect("NAME").value
             self.expect("LPAREN")
-            args = [self.parse_term()]
-            while self.peek().kind == "COMMA":
-                self.next()
+            args = []
+            if self.peek().kind != "RPAREN":
                 args.append(self.parse_term())
+                while self.peek().kind == "COMMA":
+                    self.next()
+                    args.append(self.parse_term())
             self.expect("RPAREN")
             return Call(name, tuple(args))
         return self.parse_comparison()
@@ -461,8 +430,8 @@ class Compiler:
     def _name(self, term, defs) -> str:
         """The track holding ``term``.  A sum or a numeral gets a fresh
         track, appended to ``defs`` with the machine that defines it.  Fresh
-        names only need to differ within one atom, whose ``_bind`` projects
-        them all, so equal atoms build equal machines."""
+        names only need to differ within one atom, which eliminates them
+        all, so equal atoms build equal machines."""
         if isinstance(term, Var):
             return term.name
         if isinstance(term, Const):
@@ -477,34 +446,22 @@ class Compiler:
             return out
         raise CompileError(f"not a term: {term!r}")
 
-    def _bind(self, machine, defs):
-        """Conjoin each definition and project its fresh track at once,
-        latest first.  Exact: each fresh track is defined by one machine
-        and used only by entries created after it."""
-        for track, definition in reversed(defs):
-            machine = self._project(self._product(machine, definition, "and"),
-                                    track)
-        return machine
+    def _eliminate(self, var, machines) -> list[au.MultiTrackAutomaton]:
+        """A conjunction of ``machines`` with ``var`` quantified, as a list:
+        the machines that read track ``var`` are conjoined and ``var``
+        projected, after the others, which keep their order.  Each product
+        spans only the tracks its own operands use (early quantification),
+        and a ``var`` no machine reads projects nothing."""
+        inside, outside = [], []
+        for m in machines:
+            (inside if var in m.tracks else outside).append(m)
+        if inside:
+            outside.append(self._project(self._conjoin(inside), var))
+        return outside
 
     def compile(self, f) -> au.MultiTrackAutomaton:
         """Compile ``f`` to a canonical automaton on its free variables
         (tracks sorted by name)."""
-        if isinstance(f, Compare):
-            defs = []
-            a = self._name(f.left, defs)
-            b = self._name(f.right, defs)
-            return self._bind(au.comparison(a, b, f.op), defs)
-        if isinstance(f, SeqCompare):
-            defs = []
-            u = self._name(f.left, defs)
-            if isinstance(f.right, int):
-                bit = f.right if f.op == "=" else 1 - f.right
-                core = au.seq_const(u, bit)
-            else:
-                v = self._name(f.right, defs)
-                core = self._product(au.seq_const(u, 1), au.seq_const(v, 1),
-                                     "iff" if f.op == "=" else "xor")
-            return self._bind(core, defs)
         if isinstance(f, Not):
             return au.complement(self.compile(f.body))
         if isinstance(f, (And, Exists)):
@@ -515,46 +472,54 @@ class Compiler:
             op = {Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
             return self._product(self.compile(f.left),
                                  self.compile(f.right), op)
-        if isinstance(f, Call):
-            return self._compile_call(f)
-        raise CompileError(f"not a formula: {f!r}")
+        defs = []
+        machines = [self._atom(f, defs)]
+        # Latest first: a fresh track is read only by the atom's machine and
+        # by the definitions made after its own, which are conjoined by then.
+        for track, definition in reversed(defs):
+            machines = self._eliminate(track, machines + [definition])
+        return self._conjoin(machines)
+
+    def _atom(self, f, defs) -> au.MultiTrackAutomaton:
+        """The machine of atom ``f`` on its variables and on the fresh
+        tracks of its terms, whose definitions go to ``defs``."""
+        if isinstance(f, Compare):
+            return au.comparison(self._name(f.left, defs),
+                                 self._name(f.right, defs), f.op)
+        if isinstance(f, SeqCompare):
+            u = self._name(f.left, defs)
+            if isinstance(f.right, int):
+                return au.seq_const(u, f.right if f.op == "=" else 1 - f.right)
+            return self._product(au.seq_const(u, 1),
+                                 au.seq_const(self._name(f.right, defs), 1),
+                                 "iff" if f.op == "=" else "xor")
+        if not isinstance(f, Call):
+            raise CompileError(f"not a formula: {f!r}")
+        stored = self.env.get(f.name)
+        if stored is None:
+            raise CompileError(f"unknown predicate {f.name!r}")
+        params = stored.tracks
+        if len(f.args) != len(params):
+            raise CompileError(
+                f"{f.name!r} takes {len(params)} arguments "
+                f"({', '.join(params)}), got {len(f.args)}")
+        # A variable passed twice merges the tracks of its parameters.
+        mapping = {param: self._name(arg, defs)
+                   for param, arg in zip(params, f.args)}
+        return au.rename_tracks(stored, mapping)
 
     def _conjuncts(self, f) -> list[au.MultiTrackAutomaton]:
-        """The compiled conjuncts of ``f``, in order.  ``Ev body`` keeps the
-        body's conjuncts whose machine lacks track ``v`` outside, in their
-        order, and appends the projection of the others' conjunction: each
-        existential's product spans only the tracks its own conjuncts use
-        (early quantification), and an ``E`` whose variable is unused
-        projects nothing."""
+        """The compiled conjuncts of ``f``, in order; ``Ev body`` eliminates
+        ``v`` from the body's conjuncts."""
         if isinstance(f, And):
             return self._conjuncts(f.left) + self._conjuncts(f.right)
         if isinstance(f, Exists):
-            inside, outside = [], []
-            for m in self._conjuncts(f.body):
-                (inside if f.var in m.tracks else outside).append(m)
-            if inside:
-                outside.append(self._project(self._conjoin(inside), f.var))
-            return outside
+            return self._eliminate(f.var, self._conjuncts(f.body))
         return [self.compile(f)]
 
     def _conjoin(self, machines) -> au.MultiTrackAutomaton:
         return functools.reduce(
             lambda a, b: self._product(a, b, "and"), machines)
-
-    def _compile_call(self, call: Call) -> au.MultiTrackAutomaton:
-        stored = self.env.get(call.name)
-        if stored is None:
-            raise CompileError(f"unknown predicate {call.name!r}")
-        params = stored.tracks
-        if len(call.args) != len(params):
-            raise CompileError(
-                f"{call.name!r} takes {len(params)} arguments "
-                f"({', '.join(params)}), got {len(call.args)}")
-        # A variable passed twice merges the tracks of its parameters.
-        defs = []
-        mapping = {param: self._name(arg, defs)
-                   for param, arg in zip(params, call.args)}
-        return self._bind(au.rename_tracks(stored, mapping), defs)
 
 
 def compile_formula(f, env=None,
@@ -568,13 +533,13 @@ def compile_formula(f, env=None,
 
 
 def decide(f, env=None, state_cap=au.DEFAULT_STATE_CAP) -> bool:
-    """Truth value of a sentence (a formula with no free variables)."""
-    if isinstance(f, str):
-        f = parse_formula(f)
-    unbound = free_vars(f)
-    if unbound:
-        raise CompileError(f"sentence has free variables: {sorted(unbound)}")
-    return not au.is_empty(compile_formula(f, env, state_cap))
+    """Truth value of a sentence (a formula with no free variables): its
+    machine has no tracks."""
+    machine = compile_formula(f, env, state_cap)
+    if machine.tracks:
+        raise CompileError(
+            f"sentence has free variables: {list(machine.tracks)}")
+    return not au.is_empty(machine)
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,32 @@ def term_value(term, values):
     return term_value(term.left, values) + term_value(term.right, values)
 
 
+def term_vars(term) -> set[str]:
+    if isinstance(term, logic.Var):
+        return {term.name}
+    if isinstance(term, logic.Const):
+        return set()
+    return term_vars(term.left) | term_vars(term.right)
+
+
+def free_vars(f) -> set[str]:
+    """The free variables of formula ``f``, read off its syntax tree."""
+    if isinstance(f, logic.Compare):
+        return term_vars(f.left) | term_vars(f.right)
+    if isinstance(f, logic.SeqCompare):
+        right = set() if isinstance(f.right, int) else term_vars(f.right)
+        return term_vars(f.left) | right
+    if isinstance(f, logic.Not):
+        return free_vars(f.body)
+    if isinstance(f, (logic.And, logic.Or, logic.Implies, logic.Iff)):
+        return free_vars(f.left) | free_vars(f.right)
+    if isinstance(f, (logic.Forall, logic.Exists)):
+        return free_vars(f.body) - {f.var}
+    if isinstance(f, logic.Call):
+        return set().union(*map(term_vars, f.args))
+    raise TypeError(f"not a formula: {f!r}")
+
+
 def holds(f, values, predicates, bound):
     """Truth of formula ``f`` with its free variables set by ``values``.
 

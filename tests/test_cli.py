@@ -250,6 +250,30 @@ def test_script_failures_exit_2(tmp_path, capsys, source, message):
     assert message in err
 
 
+def test_zero_argument_call_decides(tmp_path, capsys):
+    script = tmp_path / "closed.wal"
+    script.write_text('def t "Ex x<1":\neval q "$t()":\n')
+    expected = tmp_path / "closed.expected"
+    expected.write_text("q=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 0
+    assert "cmd.q.verdict=TRUE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("source, message", [
+    ('def t "Ex x<1":\neval q "$t(x)":', "'t' takes 0 arguments (), got 1"),
+    ('def p "x<y":\neval q "$p()":', "'p' takes 2 arguments (x, y), got 0"),
+], ids=["closed-given-one", "binary-given-none"])
+def test_call_arity_mismatch_exits_2(tmp_path, capsys, source, message):
+    script = tmp_path / "arity.wal"
+    script.write_text(source + "\n")
+    expected = tmp_path / "arity.expected"
+    expected.write_text("q=TRUE\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: eval q (line 2): {message}\n"
+
+
 def test_prove_rejects_reused_command_name(tmp_path, capsys):
     # Verdicts and expectations are keyed by name: with the name reused,
     # the check would read one command and the report show the other.
@@ -395,6 +419,22 @@ def test_selftest_algebra_fails_on_a_broken_emptiness_test(capsys,
     assert "  - algebra feq: a & ~a nonempty" in out
     assert "selftest.classification: pass" in out
     assert "selftest.counting: pass" in out
+
+
+def test_selftest_counting_fails_on_a_broken_route(capsys, monkeypatch):
+    """The counting suite compares every route of rows 1..32: with the
+    recurrence off by one, it fails and names a row, while the suites that
+    do not count still pass."""
+    a006165 = core.a006165
+    monkeypatch.setattr(core, "a006165", lambda n: a006165(n) + 1)
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.counting: FAIL" in out
+    assert "  - row 2: f routes disagree [brute=2,closed=2,linrep=2," \
+        "recurrence=4]" in out
+    for suite in ("sequence", "algebra", "classification"):
+        assert f"selftest.{suite}: pass" in out
 
 
 def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):

@@ -297,12 +297,17 @@ def fraction_entries(draw):
             draw(st.booleans()))
 
 
+def times(x, matrix):
+    """Row vector ``x`` times ``matrix``, every product term summed."""
+    return [sum((x[i] * matrix[i][j] for i in range(len(x))), Fraction(0))
+            for j in range(len(x))]
+
+
 def dense_value(v, gamma, w, word):
     """v . gamma(d1) ... gamma(dl) . w, every product term summed."""
     x = list(v)
     for d in word:
-        x = [sum((x[i] * gamma[d][i][j] for i in range(len(x))), Fraction(0))
-             for j in range(len(x))]
+        x = times(x, gamma[d])
     return sum((a * b for a, b in zip(x, w)), Fraction(0))
 
 
@@ -321,9 +326,19 @@ def test_kernel_matches_dense_fraction_product(entries, words):
     mixed = LinearRepresentation(
         tuple(int(x) if x.denominator == 1 else x for x in v), gamma, w, msd)
     assert mixed == rep and hash(mixed) == hash(rep)
+    # v . gamma(word) for the digits of every n < 256: each word extends
+    # a shorter one by one vector-matrix product.
+    prefix = {(): list(v)}
+
+    def row(word):
+        if word not in prefix:
+            prefix[word] = times(row(word[:-1]), gamma[word[-1]])
+        return prefix[word]
+
     for n in range(256):
-        assert evaluate(rep, n) == dense_value(v, gamma, w,
-                                               digits_of(n, msd)), n
+        x = row(tuple(digits_of(n, msd)))
+        assert evaluate(rep, n) == sum((a * b for a, b in zip(x, w)),
+                                       Fraction(0)), n
     for word in words:
         assert rep.word_value(word) == dense_value(v, gamma, w, word), word
 

@@ -2,6 +2,7 @@
 
 import functools
 import importlib.resources
+import itertools
 import random
 import re
 
@@ -10,14 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_logic as brute
-from formula_strategies import QUANT_BOUND, atoms, formulas
+from formula_strategies import QUANT_BOUND, atoms, def_chain_scripts, formulas
 from tmprover import automata as au
 from tmprover import logic
 from tmprover.core import tm_bit
 from tmprover.logic import (
     And, Call, Compare, CompileError, Const, Exists, Forall, Iff, Implies,
     Not, Or, ParseError, ScriptError, SeqCompare, Sum, Var,
-    compile_formula, decide, parse_formula, parse_script, run_script,
+    Compiler, compile_formula, decide, parse_formula, parse_script,
+    run_script,
 )
 
 FIXTURES = importlib.resources.files("tmprover") / "fixtures"
@@ -73,6 +75,10 @@ def test_operator_precedence():
     assert isinstance(f.left, Implies)
     assert isinstance(f.left.left, Or)
     assert isinstance(f.left.left.left, And)
+    a, b, c, d, e = (Compare(Var(v), "=", Const(0)) for v in "abcde")
+    assert parse_formula("a=0 | b=0 | c=0 & d=0 & e=0") \
+        == Or(Or(a, b), And(And(c, d), e))
+    assert parse_formula("a=0 => b=0 => c=0") == Implies(Implies(a, b), c)
 
 
 def test_sequence_comparisons():
@@ -242,8 +248,11 @@ def test_decide_basics():
 
 
 def test_decide_rejects_free_variables():
-    with pytest.raises(CompileError):
+    with pytest.raises(CompileError,
+                       match=re.escape("sentence has free variables: ['x']")):
         decide("x=0")
+    with pytest.raises(CompileError, match=re.escape("['i', 'n']")):
+        decide("Ej $less(i+j, n)", env={"less": au.comparison("x", "y", "<")})
 
 
 def test_decide_invariant_under_bound_renaming():
@@ -319,6 +328,11 @@ def test_call_with_duplicated_argument():
     assert au.is_empty(machine)
 
 
+def test_zero_argument_call():
+    assert parse_formula("$t()") == Call("t", ())
+    assert decide("$t()", env={"t": compile_formula("Ex x<1")}) is True
+
+
 def test_call_arity_checked():
     env = {"less": au.comparison("x", "y", "<")}
     with pytest.raises(CompileError):
@@ -341,7 +355,7 @@ def test_compile_arithmetic_atoms(x, y):
 def test_compiled_formula_matches_direct_evaluation(f):
     env = {"lt": au.comparison("x", "y", "<")}
     machine = compile_formula(f, env)
-    assert machine.tracks == tuple(sorted(logic.free_vars(f)))
+    assert machine.tracks == tuple(sorted(brute.free_vars(f)))
     for x in range(8):
         for y in range(8):
             values = {"x": x, "y": y}
@@ -387,7 +401,7 @@ def test_narrowed_scopes_match_direct_evaluation(f):
     # variable's track on the machine.
     env = {"lt": au.comparison("x", "y", "<")}
     machine = compile_formula(f, env)
-    assert machine.tracks == tuple(sorted(logic.free_vars(f)))
+    assert machine.tracks == tuple(sorted(brute.free_vars(f)))
     lt = {"lt": lambda a, b: a < b}
     for x in range(8):
         for y in range(8):
@@ -582,6 +596,17 @@ def test_repeated_atom_is_served_from_the_table(op_calls):
     assert op_calls == alone and alone["project"] > 0
 
 
+def test_table_keys_name_the_operator_and_the_track():
+    # One pair of operands under two connectives, and one machine
+    # projected on each of its two tracks: four different results.
+    source = ('def p "T[x]=T[y]":\ndef q "T[x]!=T[y]":\n'
+              'def r "Ex x<y":\ndef s "Ey x<y":\n')
+    for cmd, result in zip(parse_script(source), run_script(source).commands,
+                           strict=True):
+        assert au.to_compact_text(result.automaton) == \
+            au.to_compact_text(compile_formula(cmd.formula)), cmd.name
+
+
 def test_no_table_outlives_its_call(op_calls):
     for call in (lambda: run_script(THM1),
                  lambda: compile_formula("Ex,y T[i+x]=T[j+y+1] & x<y")):
@@ -607,3 +632,43 @@ def test_shared_compiler_matches_one_compile_per_command(name):
             au.to_compact_text(machine), cmd.name
         if cmd.kind == "def":
             env[cmd.name] = machine
+
+
+# Generated scripts: a chain of defs, each able to call the earlier ones,
+# checked command by command against direct evaluation, and the shared
+# compiler of ``run_script`` against a fresh compiler per command.
+
+def _predicate(f, params, predicates):
+    """The predicate a def of ``f`` defines, its arguments bound to
+    ``params`` in order; values are cached, as later defs call it again."""
+    @functools.lru_cache(maxsize=None)
+    def value(*args):
+        return brute.holds(f, dict(zip(params, args)), predicates,
+                           QUANT_BOUND)
+    return value
+
+
+# These scripts need at most about 120 states per construction; the cap
+# stops a faulty compiler's blow-up early, as a failure.
+SCRIPT_STATE_CAP = 1 << 12
+
+
+@given(def_chain_scripts())
+@settings(max_examples=25, deadline=None)
+def test_def_chain_scripts_match_direct_evaluation(script):
+    commands = parse_script(script)
+    report = run_script(script, SCRIPT_STATE_CAP)
+    env, predicates = {}, {}
+    for cmd, result in zip(commands, report.commands, strict=True):
+        alone = Compiler(env, SCRIPT_STATE_CAP).compile(cmd.formula)
+        assert au.to_compact_text(result.automaton) == \
+            au.to_compact_text(alone), cmd.name
+        params = tuple(sorted(brute.free_vars(cmd.formula)))
+        assert alone.tracks == params, cmd.name
+        value = _predicate(cmd.formula, params, predicates)
+        for args in itertools.product(range(8), repeat=len(params)):
+            assert au.accepts(alone, args) == value(*args), (cmd.name, args)
+        if cmd.kind == "def":
+            env[cmd.name], predicates[cmd.name] = alone, value
+        elif cmd.kind == "eval":
+            assert result.verdict == ("TRUE" if value() else "FALSE")
