@@ -156,10 +156,11 @@ def _saturate(accepting, successors) -> set:
 
 
 def _reread(a: MultiTrackAutomaton, names, schema) -> tuple:
-    """Transition rows of ``a`` over the symbols of the sorted ``schema``,
-    where track i of ``a`` reads schema track ``names[i]``.  A name that
-    occurs twice reads one digit on every track that has it; schema tracks
-    no name maps to are unconstrained."""
+    """Transition rows of ``a`` over the symbols of ``schema``, a tuple of
+    track names in any order whose track j is bit j of a symbol, where
+    track i of ``a`` reads schema track ``names[i]``.  A name that occurs
+    twice reads one digit on every track that has it; schema tracks no
+    name maps to are unconstrained."""
     if tuple(names) == schema:
         return a.transitions
     positions = [schema.index(name) for name in names]
@@ -235,16 +236,12 @@ def project(a: MultiTrackAutomaton, track: str,
     result.  More than ``state_cap`` subsets raise StateLimitError.
     """
     pos = a.track_index(track)
-    rest = tuple(t for t in a.tracks if t != track)
-    low_mask = (1 << pos) - 1
-    n_sym_new = 1 << len(rest)
-    nfa_trans = []
-    for row in a.transitions:
-        new_row = []
-        for sym in range(n_sym_new):
-            expanded = ((sym & low_mask) | ((sym & ~low_mask) << 1))
-            new_row.append((row[expanded], row[expanded | (1 << pos)]))
-        nfa_trans.append(new_row)
+    rest = a.tracks[:pos] + a.tracks[pos + 1:]
+    # With the track on the top bit, symbol s of the result reads the
+    # track's digit 0 as s and its digit 1 as s | half.
+    half = 1 << len(rest)
+    nfa_trans = [list(zip(row[:half], row[half:]))
+                 for row in _reread(a, a.tracks, rest + (track,))]
     saturated = _saturate(a.accepting, [row[0] for row in nfa_trans])
     result = _determinize(rest, nfa_trans, {a.initial}, saturated, state_cap)
     assert is_zero_closed(result)
@@ -374,12 +371,6 @@ def constant(value: int, track: str) -> MultiTrackAutomaton:
         return n if d["v"] == 0 else dead
 
     return _build({"v": track}, 0, {n}, step)
-
-
-def empty(tracks=()) -> MultiTrackAutomaton:
-    names = tuple(sorted(tracks))
-    n_sym = 1 << len(names)
-    return MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, set())
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ Subcommands:
 * ``selftest``                      desk-scale oracle-vs-automata and
   counting invariant suites.
 
-Exit codes: 0 success / all checks pass, 1 check failure or verdict
-mismatch, 2 usage, script or resource error (commands raise; ``main`` prints
-``error: ...`` and returns 2).  Machine-readable output is line
-oriented ``key=value``, sorted by key, and never contains timings, so
-identical inputs produce byte-identical output.
+Each command computes its whole report and returns it to ``main``, which
+writes the ``--out`` file first and then stdout and stderr, so after any
+error stdout is empty.  Exit codes: 0 success / all checks pass, 1 check
+failure or verdict mismatch, 2 usage, script or resource error (commands
+raise; ``main`` prints ``error: ...`` and returns 2).  Machine-readable
+output is line oriented ``key=value``, sorted by key, and never contains
+timings, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,18 +49,10 @@ def fixture_text(name: str) -> str:
             ).read_text()
 
 
-def _finish(pairs, ok: bool, out=None) -> int:
-    """Write the sorted ``key=value`` block, ``overall`` included; the exit
-    code is 0 if every check passed, else 1."""
+def _block(pairs, ok: bool) -> str:
+    """The sorted ``key=value`` block, ``overall`` included."""
     pairs["overall"] = "pass" if ok else "fail"
-    lines = [f"{key}={value}" for key, value in sorted(pairs.items())]
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0 if ok else 1
+    return "".join(f"{key}={value}\n" for key, value in sorted(pairs.items()))
 
 
 def _load_expectations(path: str) -> dict[str, str]:
@@ -103,17 +97,17 @@ def _counting_reps(state_cap: int):
 # prove
 
 
-def cmd_prove(args) -> int:
+def cmd_prove(args):
     with open(args.script) as fh:
         script = fh.read()
     expectations = _load_expectations(args.expected)
     report = logic.run_script(script, state_cap=args.state_cap)
-    pairs = {}
+    lines, pairs = [], {}
     ok = True
     for cmd in report.commands:
         states = cmd.automaton.num_states
-        print(f"{cmd.kind:10s} {cmd.name:12s} verdict={cmd.verdict:5s} "
-              f"states={states:6d} elapsed={cmd.elapsed_ms:9.1f} ms")
+        lines.append(f"{cmd.kind:10s} {cmd.name:12s} verdict={cmd.verdict:5s} "
+                     f"states={states:6d} elapsed={cmd.elapsed_ms:9.1f} ms")
         pairs[f"cmd.{cmd.name}.kind"] = cmd.kind
         pairs[f"cmd.{cmd.name}.states"] = states
         if cmd.kind != "def":
@@ -124,53 +118,47 @@ def cmd_prove(args) -> int:
         pairs[f"expected.{name}"] = want
         if have != want:
             ok = False
-            print(f"MISMATCH {name}: expected {want}, got {have}")
-    print(f"overall: {'pass' if ok else 'fail'}")
-    return _finish(pairs, ok, args.out)
+            lines.append(f"MISMATCH {name}: expected {want}, got {have}")
+    lines.append(f"overall: {'pass' if ok else 'fail'}")
+    return lines, [], _block(pairs, ok), ok
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args):
     word = core.generate_prefix(args.window)
     entries = core.scan_occurrences(word, args.start, args.length)
     oracle = core.classify_pattern(entries, args.length, args.min_occ)
-    # The pattern machines are built before anything is printed, so a
-    # resource error leaves stdout empty.
-    routed = oracle != core.PatternClass.INSUFFICIENT and args.length >= 2
-    machines = _pattern_machines(args.state_cap) if routed else None
-    pairs = {"oracle.class": oracle.value,
-             "factor.start": args.start, "factor.length": args.length}
     first_a = next((p for p, lab in entries if lab == "A"), None)
     first_b = next((p for p, lab in entries if lab == "B"), None)
-    print(f"factor t[{args.start}..{args.start + args.length - 1}] = "
-          f"{word[args.start:args.start + args.length]}")
-    print(f"oracle class: {oracle.value}")
-    print(f"first occurrence (factor): {first_a}")
-    print(f"first occurrence (complement): {first_b}")
-    pairs["first.factor"] = first_a
-    pairs["first.complement"] = first_b
+    lines = [f"factor t[{args.start}..{args.start + args.length - 1}] = "
+             f"{word[args.start:args.start + args.length]}",
+             f"oracle class: {oracle.value}",
+             f"first occurrence (factor): {first_a}",
+             f"first occurrence (complement): {first_b}"]
+    pairs = {"oracle.class": oracle.value,
+             "factor.start": args.start, "factor.length": args.length,
+             "first.factor": first_a, "first.complement": first_b}
     if oracle == core.PatternClass.INSUFFICIENT:
-        print("error: window too small for classification", file=sys.stderr)
-        return _finish(pairs, False, args.out)
+        errors = ["error: window too small for classification"]
+        return lines, errors, _block(pairs, False), False
     if args.length < 2:
-        print("automaton route: n < 2 unsupported (single symbols are "
-              "Thue-Morse coded)")
+        lines.append("automaton route: n < 2 unsupported (single symbols are "
+                     "Thue-Morse coded)")
         pairs["automaton.class"] = "unsupported"
-        return _finish(pairs, True, args.out)
-    hits, automaton_class = _automaton_route(machines, args.start,
-                                             args.length)
+        return lines, [], _block(pairs, True), True
+    hits, automaton_class = _automaton_route(
+        _pattern_machines(args.state_cap), args.start, args.length)
     if automaton_class is None:
-        print(f"error: automaton route matched {hits!r}", file=sys.stderr)
-        return _finish(pairs, False, args.out)
-    print(f"automaton class: {automaton_class.value}")
+        errors = [f"error: automaton route matched {hits!r}"]
+        return lines, errors, _block(pairs, False), False
+    lines.append(f"automaton class: {automaton_class.value}")
     pairs["automaton.class"] = automaton_class.value
     ok = automaton_class == oracle
-    if not ok:
-        print("error: oracle and automaton disagree", file=sys.stderr)
-    return _finish(pairs, ok, args.out)
+    errors = [] if ok else ["error: oracle and automaton disagree"]
+    return lines, errors, _block(pairs, ok), ok
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +173,7 @@ def _show(routes) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(routes.items()))
 
 
-def _route_values(n: int, reps, classes):
-    counts = Counter(classes.values())
+def _route_values(n: int, reps, counts):
     f_routes = {"brute": counts[core.PatternClass.AB]}
     g_routes = {"brute": counts[core.PatternClass.ABBA]}
     f_routes["linrep"] = linrep.evaluate(reps["mab"], n - 1)
@@ -200,7 +187,7 @@ def _route_values(n: int, reps, classes):
     return f_routes, g_routes
 
 
-def cmd_count(args) -> int:
+def cmd_count(args):
     if args.n_max < 2:
         raise ValueError("need n_max >= 2")
     if args.n_max > 4096:
@@ -209,42 +196,39 @@ def cmd_count(args) -> int:
         raise ValueError(f"--window {args.window} is shorter than the longest "
                          f"factor, n_max={args.n_max}")
     reps = _counting_reps(args.state_cap)
-    pairs = {}
+    pairs, errors = {}, []
     ok = True
-    # The table is printed once every row is computed, so an error on a
-    # later row (a classification error in the pass) leaves stdout empty.
-    table = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
+    lines = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
     lengths = core.classify_lengths(args.n_max, args.window, args.min_occ)
     for n, classes in enumerate(lengths, 1):
-        f_routes, g_routes = _route_values(n, reps, classes)
+        counts = Counter(classes.values())
+        f_routes, g_routes = _route_values(n, reps, counts)
         flag = "" if _agree(f_routes) and _agree(g_routes) else "  MISMATCH"
-        if flag:
-            ok = False
-        table.append(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}"
+        ok = ok and not flag
+        short = counts[core.PatternClass.INSUFFICIENT]
+        if flag and short:
+            errors.append(f"row {n}: {short} factors occur, with their "
+                          f"complements, fewer than --min-occ {args.min_occ} "
+                          f"times in --window {args.window}; the brute-force "
+                          f"route counts none of them")
+        lines.append(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}"
                      f"  f[{_show(f_routes)}] g[{_show(g_routes)}]{flag}")
         for key, val in f_routes.items():
             pairs[f"row.{n}.f.{key}"] = val
         for key, val in g_routes.items():
             pairs[f"row.{n}.g.{key}"] = val
         pairs[f"row.{n}.agree"] = "yes" if not flag else "no"
-    print("\n".join(table))
-    print(f"overall: {'pass' if ok else 'fail'}")
-    return _finish(pairs, ok, args.out)
+    lines.append(f"overall: {'pass' if ok else 'fail'}")
+    return lines, errors, _block(pairs, ok), ok
 
 
 # ---------------------------------------------------------------------------
 # export
 
 
-def cmd_export(args) -> int:
+def cmd_export(args):
     machines = _pattern_machines(args.state_cap)
-    dot = au.export_dot(machines[args.pattern], args.digit_order)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(dot)
-    else:
-        sys.stdout.write(dot)
-    return 0
+    return [], [], au.export_dot(machines[args.pattern], args.digit_order), True
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +290,8 @@ def _selftest_counting(state_cap) -> list[str]:
     failures = []
     reps = _counting_reps(state_cap)
     for n, classes in enumerate(core.classify_lengths(32, 1 << 14), 1):
-        for name, routes in zip("fg", _route_values(n, reps, classes)):
+        counts = Counter(classes.values())
+        for name, routes in zip("fg", _route_values(n, reps, counts)):
             if not _agree(routes):
                 failures.append(f"row {n}: {name} routes disagree "
                                 f"[{_show(routes)}]")
@@ -325,28 +310,27 @@ def _selftest_counting(state_cap) -> list[str]:
     return failures
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args):
+    if args.out:
+        raise ValueError("selftest writes no --out block")
     if args.window < SELFTEST_MAX_LENGTH:
         raise ValueError(f"--window {args.window} is shorter than the longest "
                          f"factor selftest classifies ({SELFTEST_MAX_LENGTH})")
     machines = _pattern_machines(args.state_cap)
-    suites = (
-        ("sequence", _selftest_sequence),
-        ("algebra", lambda: _selftest_algebra(machines)),
-        ("classification", lambda: _selftest_classification(
-            machines, args.window, args.min_occ)),
-        ("counting", lambda: _selftest_counting(args.state_cap)),
-    )
-    # Every suite runs before anything is printed, so a usage or resource
-    # error raised by a later suite leaves stdout empty.
-    results = [(name, run()) for name, run in suites]
-    for name, failures in results:
-        print(f"selftest.{name}: {'FAIL' if failures else 'pass'}")
-        for message in failures[:8]:
-            print(f"  - {message}")
-    overall_ok = not any(failures for _, failures in results)
-    print(f"overall: {'pass' if overall_ok else 'fail'}")
-    return 0 if overall_ok else 1
+    results = {
+        "sequence": _selftest_sequence(),
+        "algebra": _selftest_algebra(machines),
+        "classification": _selftest_classification(
+            machines, args.window, args.min_occ),
+        "counting": _selftest_counting(args.state_cap),
+    }
+    lines = []
+    for name, failures in results.items():
+        lines.append(f"selftest.{name}: {'FAIL' if failures else 'pass'}")
+        lines.extend(f"  - {message}" for message in failures[:8])
+    ok = not any(results.values())
+    lines.append(f"overall: {'pass' if ok else 'fail'}")
+    return lines, [], None, ok
 
 
 # ---------------------------------------------------------------------------
@@ -403,12 +387,22 @@ def main(argv=None) -> int:
                             ("--state-cap", args.state_cap)):
             if value < 1:
                 raise ValueError(f"{flag} must be at least 1, got {value}")
-        return args.func(args)
+        lines, errors, block, ok = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(block)
     except (OSError, ValueError, logic.ScriptError, core.ClassificationError,
             core.ResourceLimitError, linrep.NoncountableError,
             au.StateLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    for line in errors:
+        print(line, file=sys.stderr)
+    if block and not args.out:
+        sys.stdout.write(block)
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

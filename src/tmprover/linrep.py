@@ -267,13 +267,14 @@ def minimize_rep(rep: LinearRepresentation) -> LinearRepresentation:
 def equal_reps(a: LinearRepresentation, b: LinearRepresentation) -> bool:
     """Equality as digit-word series (hence as integer functions).
 
-    Mixed conventions are aligned by exact reversal first; equality is then
-    the rank-0 test on the difference, which matches value comparison on
-    all words up to length dim(a) + dim(b).
+    Mixed conventions are aligned by exact reversal first.  The difference
+    is then the zero series iff every vector v.gamma(word) is orthogonal
+    to its w; one forward reduction spans those vectors, and its w holds
+    their basis's products with the difference's w.
     """
     if a.msd_first != b.msd_first:
         b = reverse_rep(b)
-    return minimize_rep(subtract(a, b)).dim == 0
+    return not any(_forward_reduce(subtract(a, b)).w)
 
 
 # ---------------------------------------------------------------------------

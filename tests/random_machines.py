@@ -1,8 +1,9 @@
-"""Random canonical machines for the tests.
+"""Random and hand-made canonical machines for the tests.
 
 ``random_machine`` draws a small random automaton and makes it zero-closed
 with ``zero_close``, so the result is canonical and can be fed to every
-operation of ``tmprover.automata``.
+operation of ``tmprover.automata``; ``empty`` is the one-state machine
+that accepts nothing.
 """
 
 from tmprover import automata as au
@@ -37,6 +38,12 @@ def zero_close(a: au.MultiTrackAutomaton) -> au.MultiTrackAutomaton:
         a.tracks, trans, a.initial * n + a.initial, accepting))
     assert au.is_zero_closed(result)
     return result
+
+
+def empty(tracks=()) -> au.MultiTrackAutomaton:
+    names = tuple(sorted(tracks))
+    n_sym = 1 << len(names)
+    return au.MultiTrackAutomaton(names, [tuple([0] * n_sym)], 0, set())
 
 
 def random_machine(rng, tracks=("x",), max_states=5):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from random_machines import random_machine, zero_close
+from random_machines import empty, random_machine, zero_close
 from tmprover import automata as au
 from tmprover.core import tm_bit
 
@@ -94,7 +94,7 @@ def test_complement_involution_and_lt():
 
 
 def test_complement_of_empty_is_universal():
-    assert au.is_empty(au.complement(au.complement(au.empty(("x",)))))
+    assert au.is_empty(au.complement(au.complement(empty(("x",)))))
 
 
 def test_project_equality_gives_universal():
@@ -137,7 +137,7 @@ def test_projection_soundness_on_base_relations():
 
 def test_widen_then_project_roundtrip():
     lt = au.comparison("x", "y", "<")
-    widened = au.product(lt, au.complement(au.empty(("z",))), "and")
+    widened = au.product(lt, au.complement(empty(("z",))), "and")
     assert widened.tracks == ("x", "y", "z")
     assert au.equivalent(au.project(widened, "z"), lt)
 
@@ -169,7 +169,7 @@ def test_rename_merging_tracks_pointwise():
 @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
 def test_comparison_on_one_track(op):
     reflexive = op in ("=", "<=", ">=")
-    want = au.empty(("x",))
+    want = empty(("x",))
     if reflexive:
         want = au.complement(want)
     assert au.to_compact_text(au.comparison("x", "x", op)) == \
@@ -235,7 +235,7 @@ def test_product_rejects_unknown_operator():
 
 
 def test_export_dot_shapes():
-    dot = au.export_dot(au.complement(au.empty(("x",))))
+    dot = au.export_dot(au.complement(empty(("x",))))
     assert dot.startswith("digraph {")
     assert "doublecircle" in dot
     assert dot.count("->") == 2  # init arrow plus single self-loop edge

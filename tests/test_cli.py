@@ -168,10 +168,15 @@ def test_count_applies_min_occ(capsys):
     # A length-3 factor and its complement occur about 1365 times in 4096
     # positions, fewer than 2000: the oracle classifies none of them, so
     # the brute-force route reads 0 and disagrees with the others.
+    # Each disagreeing row says why on stderr.
     code = run_cli("--window", 4096, "--min-occ", 2000, "count", 3)
-    out = capsys.readouterr().out
+    captured = capsys.readouterr()
     assert code == 1
-    assert machine_section(out)["row.3.f.brute"] == "0"
+    assert machine_section(captured.out)["row.3.f.brute"] == "0"
+    assert captured.err.splitlines() == [
+        f"row {n}: {k} factors occur, with their complements, fewer than "
+        f"--min-occ 2000 times in --window 4096; the brute-force route "
+        f"counts none of them" for n, k in ((2, 2), (3, 6))]
 
 
 def test_min_occ_below_four_rejected(capsys):
@@ -228,6 +233,27 @@ def test_usage_errors_print_no_report(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ("prove", str(FIXTURES / "paper_thm1.wal"),
+     "--expected", str(FIXTURES / "paper_thm1.expected")),
+    ("classify", 2, 3), ("count", 3), ("export", "abpat"),
+], ids=["prove", "classify", "count", "export"])
+def test_unwritable_out_prints_no_report(tmp_path, capsys, command):
+    assert run_cli("--out", tmp_path, *command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_selftest_rejects_out(tmp_path, capsys):
+    out = tmp_path / "selftest.out"
+    assert run_cli("--out", out, "selftest") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: selftest writes no --out block\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("source, message", [

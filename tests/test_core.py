@@ -1,5 +1,6 @@
 """Tests for the brute-force Thue-Morse layer."""
 
+import functools
 from collections import Counter
 
 import pytest
@@ -181,8 +182,10 @@ def test_sweep_matches_per_factor_scan(length, window, min_occ):
         assert classes == _scanned_classes(word, n, min_occ), n
 
 
+@functools.lru_cache(maxsize=None)
 def _scanned_classes(word, n, min_occ):
-    """Class of every length-n factor of the word, one scan per factor."""
+    """Class of every length-n factor of the word, one scan per factor;
+    cached, since the drawn examples repeat a few hundred arguments."""
     firsts = {}
     for i in range(len(word) - n + 1):
         firsts.setdefault(word[i:i + n], i)

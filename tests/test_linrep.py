@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import brute_logic as brute
 from formula_strategies import QUANT_BOUND, formulas
-from random_machines import zero_close
+from random_machines import empty, zero_close
 from tmprover import automata as au
 from tmprover import core, logic
 from tmprover.logic import And, Compare, Const, Or, Sum, Var, compile_formula
@@ -145,7 +145,7 @@ def test_stabilization_certificate(extracted):
 
 
 def test_extraction_of_empty_automaton():
-    machine = au.empty(("i", "n"))
+    machine = empty(("i", "n"))
     rep = extract_counting(counting_query(machine, "i", "n"))
     assert rep.dim == 0
     assert all(evaluate(rep, n) == 0 for n in range(20))
@@ -153,7 +153,7 @@ def test_extraction_of_empty_automaton():
 
 def test_noncountable_detected():
     # i unconstrained for every n: infinitely many counted values.
-    machine = au.complement(au.empty(("i", "n")))
+    machine = au.complement(empty(("i", "n")))
     with pytest.raises(NoncountableError):
         extract_counting(counting_query(machine, "i", "n"))
     lt = au.rename_tracks(au.comparison("x", "y", "<"),
@@ -174,9 +174,9 @@ def test_counting_bounded_relation():
 
 def test_counting_query_validation():
     with pytest.raises(ValueError):
-        counting_query(au.complement(au.empty(("i",))), "i", "n")
+        counting_query(au.complement(empty(("i",))), "i", "n")
     with pytest.raises(ValueError):
-        counting_query(au.complement(au.empty(("i", "n"))), "i", "m")
+        counting_query(au.complement(empty(("i", "n"))), "i", "m")
 
 
 def test_subtract_and_scale():
