@@ -68,14 +68,14 @@ class MultiTrackAutomaton:
                 f"states={self.num_states}, accepting={len(self.accepting)})")
 
 
-def _explore(tracks, start, successors, accept, state_cap):
+def _explore(tracks, start, successors, accept, state_cap=float("inf")):
     """The machine reachable from ``start``, states numbered breadth first.
 
     ``successors(key)`` yields one successor key per symbol, in increasing
     symbol order, and ``accept(key)`` tells whether a key is accepting.
     States are numbered in discovery order, so isomorphic inputs give
     identical machines.  Discovering more than ``state_cap`` states raises
-    StateLimitError.
+    StateLimitError; a walk of an existing machine passes no cap.
     """
     ids = {start: 0}
     keys = [start]
@@ -127,9 +127,8 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         if rep_trans[b] is None:
             rep_trans[b] = tuple(block[t] for t in trans[q])
     accepting = {block[q] for q in a.accepting}
-    # There are only n_blocks classes, so this cap is never reached.
     return _explore(a.tracks, block[a.initial], rep_trans.__getitem__,
-                    accepting.__contains__, n_blocks)
+                    accepting.__contains__)
 
 
 def is_zero_closed(a: MultiTrackAutomaton) -> bool:
@@ -254,17 +253,15 @@ def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
     only renumbered breadth first; a merge may not, so it is minimized."""
     names = [mapping.get(t, t) for t in a.tracks]
     schema = tuple(sorted(set(names)))
-    # A walk finds at most num_states states, so this cap is never reached.
     walked = _explore(schema, a.initial, _reread(a, names, schema).__getitem__,
-                      a.accepting.__contains__, a.num_states)
+                      a.accepting.__contains__)
     return minimize(walked) if len(schema) < len(names) else walked
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
     """No accepting state is reachable from the initial state."""
-    # A walk finds at most num_states states, so this cap is never reached.
     return not _explore(a.tracks, a.initial, a.transitions.__getitem__,
-                        a.accepting.__contains__, a.num_states).accepting
+                        a.accepting.__contains__).accepting
 
 
 def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:

@@ -36,6 +36,9 @@ PATTERN_NAMES = ("abpat", "bapat", "abbapat", "baabpat")
 # selftest classifies every factor of length 2..SELFTEST_MAX_LENGTH.
 SELFTEST_MAX_LENGTH = 6
 
+# -2[n=0]: the AB-class count minus twice A006165, a series of rank 1.
+_AB_DEFECT = linrep.LinearRepresentation((1,), (((1,),), ((0,),)), (-2,))
+
 _PATTERN_TO_CLASS = {
     "abpat": core.PatternClass.AB,
     "bapat": core.PatternClass.BA,
@@ -301,13 +304,17 @@ def _selftest_counting(state_cap) -> list[str]:
         failures.append("a006165 fixture breaks its recurrence values")
     if any(linrep.evaluate(r4, n) != core.a060973(n) for n in range(65)):
         failures.append("a060973 fixture breaks its recurrence values")
-    diff = linrep.minimize_rep(linrep.subtract(
-        reps["mab"], linrep.reverse_rep(linrep.scale(r2, 2))))
-    if diff.dim != 1 or linrep.evaluate(diff, 0) != -2:
-        failures.append("counting identity defect is not -2[n=0] of rank 1")
-    if not linrep.equal_reps(reps["mabba"], r4):
-        failures.append("counting identity for the ABBA class is not rank 0")
-    return failures
+    identities = (
+        (linrep.subtract(reps["mab"], linrep.reverse_rep(linrep.scale(r2, 2))),
+         _AB_DEFECT, "counting identity defect is not -2[n=0] of rank 1"),
+        (reps["mabba"], r4,
+         "counting identity for the ABBA class is not rank 0"),
+        (reps["mab"], linrep.reference_count_ab(),
+         "mab differs from the shipped count_ab.lr"),
+        (reps["mabba"], linrep.reference_count_abba(),
+         "mabba differs from the shipped count_abba.lr"))
+    return failures + [message for a, b, message in identities
+                       if not linrep.equal_reps(a, b)]
 
 
 def cmd_selftest(args):

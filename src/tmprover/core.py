@@ -104,22 +104,19 @@ def scan_occurrences(word: str, start: int,
     return tuple(sorted(entries))
 
 
-def _tm_coded_labels(positions, zero_label: str) -> str:
-    one_label = "B" if zero_label == "A" else "A"
-    return "".join(zero_label if tm_bit(p) == 0 else one_label for p in positions)
-
-
-def classify_labels(labels: str, positions, factor_length: int,
+def classify_labels(labels: str, factor_length: int,
                     min_occurrences: int) -> PatternClass:
-    """Classify an observed label word against the six admissible patterns."""
+    """Classify an observed label word against the six admissible patterns;
+    a length-1 factor's labels are read at every position 0, 1, 2, ..."""
     if min_occurrences < 4:
         raise ValueError("min_occurrences must be at least 4")
     if len(labels) < min_occurrences:
         return PatternClass.INSUFFICIENT
     if factor_length == 1:
-        if labels == _tm_coded_labels(positions, "A"):
+        word = generate_prefix(len(labels))
+        if labels == word.translate(_TO_LABELS):
             return PatternClass.TM_AS_A
-        if labels == _tm_coded_labels(positions, "B"):
+        if labels == word.translate(_COMPLEMENT).translate(_TO_LABELS):
             return PatternClass.TM_AS_B
         raise ClassificationError(
             "length-1 factor labels match neither Thue-Morse coding"
@@ -140,8 +137,7 @@ def classify_labels(labels: str, positions, factor_length: int,
 def classify_pattern(entries, length: int,
                      min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> PatternClass:
     """Class of a length-``length`` factor from its ``scan_occurrences``."""
-    return classify_labels("".join(lab for _, lab in entries),
-                           [pos for pos, _ in entries], length,
+    return classify_labels("".join(lab for _, lab in entries), length,
                            min_occurrences)
 
 
@@ -198,7 +194,7 @@ def _refine(word: str, n_max: int, min_occurrences: int):
         for g in groups:
             key, pos, labels, cls = g
             if cls is None:
-                cls = g[3] = classify_labels(labels, pos, n, min_occurrences)
+                cls = g[3] = classify_labels(labels, n, min_occurrences)
             if "A" in labels:
                 out[key] = cls
             if "B" in labels:

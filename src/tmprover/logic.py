@@ -31,12 +31,14 @@ the compiler narrows each ``E`` scope by reading the tracks of its
 body's compiled conjuncts, compiles ``Av p`` as ``~Ev ~p``, and
 ``decide`` reads a formula's free variables off its machine.
 
-A sum or numeral gets a fresh track named by its place in its own atom,
-so equal atoms compile to equal machines wherever they occur; the atom
-eliminates its fresh tracks with the routine that narrows ``E`` scopes.  One
-``Compiler`` serves a whole ``run_script`` call and keeps a computed table
-of ``product`` and ``project`` results keyed by their exact operands;
-machines are canonical, so a table hit returns the bytes a rebuild would.
+Every atom is one base machine; ``T[a] = T[b]`` is the ``iff`` (``!=``:
+``xor``) of the atoms ``T[a] = 1`` and ``T[b] = 1``.  A sum or numeral gets
+a fresh track named by its place in its own atom, so equal atoms compile to
+equal machines wherever they occur; the atom eliminates its fresh tracks
+with the routine that narrows ``E`` scopes.  One ``Compiler`` serves a
+whole ``run_script`` call and keeps one computed table of ``product`` and
+``project`` results keyed by the operator and the exact operands; machines
+are canonical, so a table hit returns the bytes a rebuild would.
 """
 
 from __future__ import annotations
@@ -402,10 +404,10 @@ def _key(a: au.MultiTrackAutomaton) -> tuple:
 class Compiler:
     """Compiles formulas over one predicate environment, which a caller may
     extend between calls.  ``product`` and ``project`` results are kept in a
-    computed table keyed by their exact operands: canonical machines make
-    each result a function of its operands' bytes, so a hit is exact.  The
-    table lives as long as the compiler, one ``run_script`` or
-    ``compile_formula`` call."""
+    computed table keyed by the operator and the operands: canonical
+    machines make each result a function of its operands' bytes, so a hit
+    is exact.  The table lives as long as the compiler, one ``run_script``
+    or ``compile_formula`` call."""
 
     def __init__(self, env: dict | None = None,
                  state_cap: int = au.DEFAULT_STATE_CAP):
@@ -413,18 +415,15 @@ class Compiler:
         self.state_cap = state_cap
         self._table = {}
 
-    def _product(self, a, b, op) -> au.MultiTrackAutomaton:
-        key = (_key(a), _key(b), op)
+    def _apply(self, op, a, b) -> au.MultiTrackAutomaton:
+        """``project(a, b)`` if ``op`` is ``"project"``, else ``product(a, b,
+        op)``, from the table; keyed by ``op`` and the operands' bytes."""
+        key = (op, _key(a), b if op == "project" else _key(b))
         result = self._table.get(key)
         if result is None:
-            result = self._table[key] = au.product(a, b, op, self.state_cap)
-        return result
-
-    def _project(self, a, track) -> au.MultiTrackAutomaton:
-        key = (_key(a), track)
-        result = self._table.get(key)
-        if result is None:
-            result = self._table[key] = au.project(a, track, self.state_cap)
+            result = self._table[key] = (
+                au.project(a, b, self.state_cap) if op == "project"
+                else au.product(a, b, op, self.state_cap))
         return result
 
     def _name(self, term, defs) -> str:
@@ -456,7 +455,7 @@ class Compiler:
         for m in machines:
             (inside if var in m.tracks else outside).append(m)
         if inside:
-            outside.append(self._project(self._conjoin(inside), var))
+            outside.append(self._apply("project", self._conjoin(inside), var))
         return outside
 
     def compile(self, f) -> au.MultiTrackAutomaton:
@@ -470,8 +469,11 @@ class Compiler:
             return au.complement(self.compile(Exists(f.var, Not(f.body))))
         if isinstance(f, (Or, Implies, Iff)):
             op = {Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-            return self._product(self.compile(f.left),
-                                 self.compile(f.right), op)
+            return self._apply(op, self.compile(f.left), self.compile(f.right))
+        if isinstance(f, SeqCompare) and not isinstance(f.right, int):
+            return self._apply("iff" if f.op == "=" else "xor",
+                               self.compile(SeqCompare(f.left, "=", 1)),
+                               self.compile(SeqCompare(f.right, "=", 1)))
         defs = []
         machines = [self._atom(f, defs)]
         # Latest first: a fresh track is read only by the atom's machine and
@@ -487,12 +489,8 @@ class Compiler:
             return au.comparison(self._name(f.left, defs),
                                  self._name(f.right, defs), f.op)
         if isinstance(f, SeqCompare):
-            u = self._name(f.left, defs)
-            if isinstance(f.right, int):
-                return au.seq_const(u, f.right if f.op == "=" else 1 - f.right)
-            return self._product(au.seq_const(u, 1),
-                                 au.seq_const(self._name(f.right, defs), 1),
-                                 "iff" if f.op == "=" else "xor")
+            return au.seq_const(self._name(f.left, defs),
+                                f.right if f.op == "=" else 1 - f.right)
         if not isinstance(f, Call):
             raise CompileError(f"not a formula: {f!r}")
         stored = self.env.get(f.name)
@@ -519,7 +517,7 @@ class Compiler:
 
     def _conjoin(self, machines) -> au.MultiTrackAutomaton:
         return functools.reduce(
-            lambda a, b: self._product(a, b, "and"), machines)
+            lambda a, b: self._apply("and", a, b), machines)
 
 
 def compile_formula(f, env=None,

@@ -5,7 +5,7 @@ import importlib.resources
 import pytest
 
 from tmprover import automata as au
-from tmprover import cli, core
+from tmprover import cli, core, linrep
 
 FIXTURES = importlib.resources.files("tmprover") / "fixtures"
 
@@ -463,16 +463,43 @@ def test_selftest_counting_fails_on_a_broken_route(capsys, monkeypatch):
         assert f"selftest.{suite}: pass" in out
 
 
+def test_selftest_counting_checks_the_shipped_fixtures(capsys, monkeypatch):
+    """The counting suite compares the extracted ABBA-class representation
+    with the shipped ``count_abba.lr``: doubled, the fixture fails it."""
+    reference = linrep.reference_count_abba
+    monkeypatch.setattr(linrep, "reference_count_abba",
+                        lambda: linrep.scale(reference(), 2))
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.counting: FAIL" in out
+    assert "  - mabba differs from the shipped count_abba.lr" in out
+    assert "count_ab.lr" not in out
+    for suite in ("sequence", "algebra", "classification"):
+        assert f"selftest.{suite}: pass" in out
+
+
+def test_selftest_decides_the_rank1_identity_exactly(capsys, monkeypatch):
+    """The AB-class defect is decided equal to -2[n=0]: a false rank-1
+    series that also reads -2 at n=0 (and -50 at n=3) fails the suite."""
+    monkeypatch.setattr(cli, "_AB_DEFECT", linrep.LinearRepresentation(
+        (1,), (((1,),), ((5,),)), (-2,)))
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.counting: FAIL" in out
+    assert "  - counting identity defect is not -2[n=0] of rank 1" in out
+
+
 def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):
     """The classification suite records the length whose classification
     failed and checks no longer length: the pass ends there."""
     classify_labels = core.classify_labels
 
-    def failing_at_4(labels, positions, factor_length, min_occurrences):
+    def failing_at_4(labels, factor_length, min_occurrences):
         if factor_length == 4 and min_occurrences == 5:
             raise core.ClassificationError("injected")
-        return classify_labels(labels, positions, factor_length,
-                               min_occurrences)
+        return classify_labels(labels, factor_length, min_occurrences)
 
     monkeypatch.setattr(core, "classify_labels", failing_at_4)
     code = run_cli("--min-occ", 5, "selftest")

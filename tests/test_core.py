@@ -140,7 +140,7 @@ def test_classify_min_occurrences_validated():
 
 def test_classify_rejects_alien_labels():
     with pytest.raises(ClassificationError):
-        core.classify_labels("AABB" * 4, list(range(16)), 3, 8)
+        core.classify_labels("AABB" * 4, 3, 8)
 
 
 def test_length1_never_periodic():
