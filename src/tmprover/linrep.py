@@ -5,15 +5,25 @@ v . gamma(d1) ... gamma(dl) . w.  Counting representations extracted from a
 two-track automaton value the digit word of the parameter n with the number
 of accepted partner values i.  All arithmetic is exact (ints/Fractions);
 rank decisions tolerate no rounding.
+
+Words are fed CHUNK digits at a time through a table on each
+representation: v . gamma(chunk) for the first chunk, the sparse rows of
+gamma(chunk) for later ones, keyed by (digits as an int, length) and each
+built from the entry one digit shorter.  Each kind holds at most
+2**(CHUNK + 1) entries; no value keyed by n is cached.  Spans are reduced
+fraction-free, over primitive integer rows.
 """
 
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tmprover import automata as au
+
+CHUNK = 8  # digits per table entry
 
 
 class NoncountableError(Exception):
@@ -28,6 +38,8 @@ class LinearRepresentation:
     when valuing an integer.  Integral entries are held as ``int`` (equal,
     with equal hashes, to the ``Fraction`` they replace); ``rows`` holds,
     per digit, each matrix row's nonzero ``(column, coefficient)`` pairs.
+    ``chunks`` is the chunk table, (first-chunk vectors, later-chunk rows),
+    filled as words are valued; it takes no part in equality or ``repr``.
     """
 
     v: tuple
@@ -35,6 +47,7 @@ class LinearRepresentation:
     w: tuple
     msd_first: bool = False
     rows: tuple = field(init=False, compare=False, repr=False)
+    chunks: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         gamma = tuple(tuple(tuple(_exact(x) for x in row) for row in mat)
@@ -43,24 +56,74 @@ class LinearRepresentation:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "w", tuple(_exact(x) for x in self.w))
         object.__setattr__(self, "rows", tuple(
-            tuple(tuple((j, c) for j, c in enumerate(row) if c)
-                  for row in mat) for mat in gamma))
+            tuple(_sparse(row) for row in mat) for mat in gamma))
+        object.__setattr__(self, "chunks", ({}, {}))
 
     @property
     def dim(self) -> int:
         return len(self.v)
 
     def word_value(self, digits):
-        x = self.v
-        for d in digits:
-            x = _mat_row(x, self.rows[d])
+        """Value of a digit word, given in the order it is fed."""
+        word = "".join(map(str, digits))
+        # The first digit fed is the high bit of an MSD chunk, the low bit
+        # of an LSD one.
+        return self._value([
+            (int(part if self.msd_first else part[::-1], 2), len(part))
+            for part in (word[i:i + CHUNK]
+                         for i in range(0, len(word), CHUNK))] or [(0, 0)])
+
+    def _value(self, chunks):
+        """Value of the word fed as ``chunks``, (bits, length) pairs: the
+        first chunk read as a row vector, each later one as a matrix."""
+        x = self._chunk(0, *chunks[0])
+        for bits, length in chunks[1:]:
+            x = _mat_row(x, self._chunk(1, bits, length))
         return sum(xi * wi for xi, wi in zip(x, self.w))
+
+    def _chunk(self, kind, bits, length):
+        """The table entry of a chunk: v . gamma(chunk) for kind 0, the
+        sparse rows of gamma(chunk) for kind 1.  It is built from the entry
+        of the chunk without its last digit, by one product."""
+        table = self.chunks[kind]
+        entry = table.get((bits, length))
+        if entry is None:
+            if not length:  # the empty chunk: v, or the identity's rows
+                entry = (tuple(((i, 1),) for i in range(self.dim)) if kind
+                         else self.v)
+            else:
+                if self.msd_first:
+                    prefix, d = bits >> 1, bits & 1
+                else:
+                    prefix, d = bits & ~(1 << length - 1), bits >> length - 1
+                shorter = self._chunk(kind, prefix, length - 1)
+                if kind:
+                    entry = tuple(_sparse(_mat_row(_dense(row, self.dim),
+                                                   self.rows[d]))
+                                  for row in shorter)
+                else:
+                    entry = _mat_row(shorter, self.rows[d])
+            table[bits, length] = entry
+        return entry
 
 
 def _exact(x):
     """An integral ``Fraction`` as ``int``; any other entry unchanged."""
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
+    return x
+
+
+def _sparse(x):
+    """A row's nonzero ``(column, coefficient)`` pairs."""
+    return tuple((j, c) for j, c in enumerate(x) if c)
+
+
+def _dense(pairs, dim):
+    """The row of length ``dim`` with the given nonzero entries."""
+    x = [0] * dim
+    for j, c in pairs:
+        x[j] = c
     return x
 
 
@@ -74,22 +137,20 @@ def _mat_row(x, rows):
     return out
 
 
-def digits_of(n: int, msd_first: bool) -> list[int]:
-    """Canonical binary digits of n (no redundant zeros; empty for 0)."""
+def evaluate(rep: LinearRepresentation, n: int):
+    """Value at the integer n: its canonical binary digits (none for 0),
+    fed per the representation's order, CHUNK-digit groups at a time."""
     if n < 0:
         raise ValueError("representation arguments are nonnegative")
-    out = []
-    while n:
-        out.append(n & 1)
-        n >>= 1
-    if msd_first:
-        out.reverse()
-    return out
-
-
-def evaluate(rep: LinearRepresentation, n: int):
-    """Value at the integer n, digits fed per the representation's order."""
-    return rep.word_value(digits_of(n, rep.msd_first))
+    chunks = []
+    mask = (1 << CHUNK) - 1
+    while n > mask:
+        chunks.append((n & mask, CHUNK))
+        n >>= CHUNK
+    chunks.append((n, n.bit_length()))
+    if rep.msd_first:
+        chunks.reverse()
+    return rep._value(chunks)
 
 
 @dataclass(frozen=True)
@@ -174,18 +235,10 @@ def subtract(a: LinearRepresentation,
     """Direct sum with the second output vector negated; computes a - b."""
     if a.msd_first != b.msd_first:
         raise ValueError("operands must share a digit-order convention")
-    da, db = a.dim, b.dim
-    gamma = []
-    for d in (0, 1):
-        mat = [[0] * (da + db) for _ in range(da + db)]
-        for i in range(da):
-            for j in range(da):
-                mat[i][j] = a.gamma[d][i][j]
-        for i in range(db):
-            for j in range(db):
-                mat[da + i][da + j] = b.gamma[d][i][j]
-        gamma.append(tuple(tuple(row) for row in mat))
-    return LinearRepresentation(a.v + b.v, tuple(gamma),
+    pad_a, pad_b = (0,) * a.dim, (0,) * b.dim
+    gamma = tuple(tuple(row + pad_b for row in a.gamma[d])
+                  + tuple(pad_a + row for row in b.gamma[d]) for d in (0, 1))
+    return LinearRepresentation(a.v + b.v, gamma,
                                 a.w + tuple(-x for x in b.w), a.msd_first)
 
 
@@ -198,70 +251,64 @@ def reverse_rep(rep: LinearRepresentation) -> LinearRepresentation:
                                 msd_first=not rep.msd_first)
 
 
+def _primitive(row):
+    """The integer row with coprime entries that is a positive multiple of
+    ``row``; the zero row stays zero."""
+    den = math.lcm(*(x.denominator for x in row))
+    row = [x.numerator * (den // x.denominator) for x in row]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def _reduce_row(echelon, row):
-    """Reduce ``row`` against reduced rows [(pivot, vector)]; exact."""
-    row = list(row)
+    """Reduce the integer ``row`` against the fully reduced integer rows
+    [(pivot, vector)] without division; the result is primitive."""
     for pivot, vec in echelon:
-        if row[pivot]:
-            c = row[pivot]
-            for j in range(len(row)):
-                row[j] -= c * vec[j]
-    return row
+        c = row[pivot]
+        if c:
+            p = vec[pivot]
+            row = [p * x - c * y for x, y in zip(row, vec)]
+    return _primitive(row)
 
 
-def _insert_row(echelon, row):
-    pivot = next((j for j, x in enumerate(row) if x), None)
-    if pivot is None:
-        return False
-    inv = Fraction(1, 1) / row[pivot]
-    vec = [x * inv for x in row]
-    for p, other in echelon:
-        if other[pivot]:
-            c = other[pivot]
-            for j in range(len(other)):
-                other[j] -= c * vec[j]
-    echelon.append((pivot, vec))
-    return True
+def _span(rep: LinearRepresentation):
+    """Fully reduced integer rows [(pivot, vector)] spanning the vectors
+    v.gamma(word), each row's pivot positive and its entries coprime."""
+    echelon = []
+    queue = [rep.v]
+    while queue:
+        x = _primitive(queue.pop())
+        row = _reduce_row(echelon, x)
+        pivot = next((j for j, c in enumerate(row) if c), None)
+        if pivot is not None:
+            if row[pivot] < 0:
+                row = [-c for c in row]
+            echelon = [(q, _reduce_row([(pivot, row)], other))
+                       for q, other in echelon] + [(pivot, row)]
+            queue += (_mat_row(x, rep.rows[0]), _mat_row(x, rep.rows[1]))
+    return echelon
 
 
 def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
     """Restrict to the row space spanned by v.gamma(word); value-preserving."""
-    dim = rep.dim
-    if dim == 0:
-        return rep
-    echelon = []
-    queue = [rep.v]
-    while queue:
-        x = queue.pop()
-        if _insert_row(echelon, _reduce_row(echelon, x)):
-            queue.append(_mat_row(x, rep.rows[0]))
-            queue.append(_mat_row(x, rep.rows[1]))
-    if not echelon:
-        return LinearRepresentation((), ((), ()), (), rep.msd_first)
-    # The echelon rows span the same space and stay fully reduced with unit
-    # pivots, so a vector's coordinates are its entries at the pivots.
-    basis = [vec for _, vec in echelon]
+    echelon = _span(rep)
 
     def coords(target):
-        if any(_reduce_row(echelon, target)):
+        # Every other basis row is zero at a row's pivot, so a vector of
+        # the span has coordinate target[p] / vec[p] along the row (p, vec).
+        if any(_reduce_row(echelon, _primitive(target))):
             raise AssertionError("closure failure: vector outside span")
-        return tuple(target[p] for p, _ in echelon)
+        return tuple(Fraction(target[p], vec[p]) for p, vec in echelon)
 
-    new_gamma = []
-    for d in (0, 1):
-        new_gamma.append(tuple(coords(_mat_row(b, rep.rows[d]))
-                               for b in basis))
-    new_v = coords(rep.v)
-    new_w = tuple(sum(b[i] * rep.w[i] for i in range(dim)) for b in basis)
-    return LinearRepresentation(new_v, tuple(new_gamma), new_w,
-                                rep.msd_first)
+    gamma = tuple(tuple(coords(_mat_row(vec, rep.rows[d]))
+                        for _, vec in echelon) for d in (0, 1))
+    w = tuple(sum(x * y for x, y in zip(vec, rep.w)) for _, vec in echelon)
+    return LinearRepresentation(coords(rep.v), gamma, w, rep.msd_first)
 
 
 def minimize_rep(rep: LinearRepresentation) -> LinearRepresentation:
     """Unique minimal dimension via forward then backward reduction."""
-    forward = _forward_reduce(rep)
-    backward = reverse_rep(_forward_reduce(reverse_rep(forward)))
-    return backward
+    return reverse_rep(_forward_reduce(reverse_rep(_forward_reduce(rep))))
 
 
 def equal_reps(a: LinearRepresentation, b: LinearRepresentation) -> bool:
@@ -269,12 +316,13 @@ def equal_reps(a: LinearRepresentation, b: LinearRepresentation) -> bool:
 
     Mixed conventions are aligned by exact reversal first.  The difference
     is then the zero series iff every vector v.gamma(word) is orthogonal
-    to its w; one forward reduction spans those vectors, and its w holds
-    their basis's products with the difference's w.
+    to its w, that is iff each row of a basis of their span is.
     """
     if a.msd_first != b.msd_first:
         b = reverse_rep(b)
-    return not any(_forward_reduce(subtract(a, b)).w)
+    diff = subtract(a, b)
+    return not any(sum(x * y for x, y in zip(vec, diff.w))
+                   for _, vec in _span(diff))
 
 
 # ---------------------------------------------------------------------------

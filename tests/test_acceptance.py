@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from dense_rep import digits_of
 from random_machines import random_machine
 from tmprover import automata as au
 from tmprover import cli, core, linrep
@@ -161,7 +162,7 @@ def test_criterion_7_intertwining_ground_truth():
 def _exists_witness(machine, x, x_pos, y_pos):
     """Reference check for 'some y makes (x, y) accepted', by plain BFS."""
     states = {machine.initial}
-    for digit in linrep.digits_of(x, msd_first=False):
+    for digit in digits_of(x, msd_first=False):
         states = {machine.transitions[q][(digit << x_pos) | (b << y_pos)]
                   for q in states for b in (0, 1)}
     seen = set(states)

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_logic as brute
+from dense_rep import dense_value, digits_of, times
 from formula_strategies import QUANT_BOUND, formulas
 from random_machines import empty, zero_close
 from tmprover import automata as au
 from tmprover import core, logic
 from tmprover.logic import And, Compare, Const, Or, Sum, Var, compile_formula
 from tmprover.linrep import (
-    LinearRepresentation, NoncountableError, counting_query, digits_of,
+    CHUNK, LinearRepresentation, NoncountableError, counting_query,
     equal_reps, evaluate, extract_counting, from_recurrence_a006165,
     from_recurrence_a060973, load_representation, minimize_rep,
     reference_count_ab, reference_count_abba, reverse_rep, scale, subtract,
@@ -62,8 +63,9 @@ def test_digits_of():
     assert digits_of(0, True) == []
     assert digits_of(6, True) == [1, 1, 0]
     assert digits_of(6, False) == [0, 1, 1]
-    with pytest.raises(ValueError):
-        digits_of(-1, True)
+    with pytest.raises(ValueError,
+                       match="representation arguments are nonnegative"):
+        evaluate(from_recurrence_a006165(), -1)
 
 
 def test_fixture_matrices_as_displayed():
@@ -273,6 +275,31 @@ def test_rank_zero_identity(extracted):
     assert diff.dim == 0
 
 
+def test_integer_reduction_stays_exact_with_rational_entries(extracted):
+    r2 = from_recurrence_a006165()
+    third = scale(r2, Fraction(1, 3))
+    assert equal_reps(third, scale(r2, Fraction(2, 6)))
+    # One entry moved by 1/3, in w and in gamma(1): the series differ.
+    w = (third.w[0] + Fraction(1, 3),) + third.w[1:]
+    gamma1 = ((third.gamma[1][0][0] + Fraction(1, 3),)
+              + third.gamma[1][0][1:],) + third.gamma[1][1:]
+    for changed in (LinearRepresentation(third.v, third.gamma, w, True),
+                    LinearRepresentation(third.v, (third.gamma[0], gamma1),
+                                         third.w, True)):
+        assert any(evaluate(changed, n) != evaluate(third, n)
+                   for n in range(64))
+        assert not equal_reps(third, changed)
+        assert not equal_reps(changed, third)
+    # A third of the rank-1 difference still reduces from 10 to 1.
+    diff = subtract(scale(extracted["mab"], Fraction(1, 3)),
+                    reverse_rep(scale(r2, Fraction(2, 3))))
+    rank1 = minimize_rep(diff)
+    assert (diff.dim, rank1.dim) == (10, 1)
+    assert evaluate(rank1, 0) == Fraction(-2, 3)
+    for n in range(513):
+        assert evaluate(rank1, n) == evaluate(diff, n), n
+
+
 # ---------------------------------------------------------------------------
 # The sparse integer kernel against a dense Fraction product
 
@@ -295,20 +322,6 @@ def fraction_entries(draw):
 
     return (draw(vector), (matrix(), matrix()), draw(vector),
             draw(st.booleans()))
-
-
-def times(x, matrix):
-    """Row vector ``x`` times ``matrix``, every product term summed."""
-    return [sum((x[i] * matrix[i][j] for i in range(len(x))), Fraction(0))
-            for j in range(len(x))]
-
-
-def dense_value(v, gamma, w, word):
-    """v . gamma(d1) ... gamma(dl) . w, every product term summed."""
-    x = list(v)
-    for d in word:
-        x = times(x, gamma[d])
-    return sum((a * b for a, b in zip(x, w)), Fraction(0))
 
 
 @given(fraction_entries(),
@@ -341,6 +354,64 @@ def test_kernel_matches_dense_fraction_product(entries, words):
                                        Fraction(0)), n
     for word in words:
         assert rep.word_value(word) == dense_value(v, gamma, w, word), word
+
+
+def _chunk_test_reps(extracted):
+    """Every fixture, the extracted machines and a representation with
+    non-integral entries, each also reversed."""
+    rng = random.Random(37)
+
+    def num():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+    rational = LinearRepresentation(
+        tuple(num() for _ in range(3)),
+        tuple(tuple(tuple(num() for _ in range(3)) for _ in range(3))
+              for _ in (0, 1)),
+        tuple(num() for _ in range(3)))
+    assert any(type(x) is Fraction for row in rational.gamma[1] for x in row)
+    reps = dict(extracted, rational=rational)
+    for name in LR_FIXTURES:
+        reps[name] = load_representation((FIXTURES / name).read_text())
+    return reps | {name + " reversed": reverse_rep(rep)
+                   for name, rep in reps.items()}
+
+
+def test_chunk_boundaries_match_dense_products(extracted):
+    """Values across the edges of CHUNK-digit chunks, in both digit
+    orders, against the dense product of the canonical digits."""
+    rng = random.Random(41)
+    edges = [0, 1] + [(1 << (CHUNK * j)) + e for j in (1, 2, 3)
+                      for e in (-1, 0, 1)]
+    ns = edges + [rng.randrange(1 << 70) for _ in range(200)]
+    # Words of one to three chunks and more, with redundant zeros at
+    # either end and at chunk edges.
+    words = [[0] * CHUNK, [1] + [0] * CHUNK, [0] * CHUNK + [1]]
+    for length in (CHUNK + 1, 2 * CHUNK, 2 * CHUNK + 3, 3 * CHUNK + 1):
+        word = [rng.randint(0, 1) for _ in range(length)]
+        words += [word, [0] * 3 + word, word + [0] * 3, word + [0] * CHUNK]
+    for name, rep in _chunk_test_reps(extracted).items():
+        for n in ns:
+            want = dense_value(rep.v, rep.gamma, rep.w,
+                               digits_of(n, rep.msd_first))
+            assert evaluate(rep, n) == want, (name, n)
+        for word in words:
+            assert rep.word_value(word) == dense_value(
+                rep.v, rep.gamma, rep.w, word), (name, word)
+
+
+def test_chunk_table_is_bounded_and_invisible(extracted):
+    rng = random.Random(43)
+    for source in (extracted["mab"], from_recurrence_a060973()):
+        rep, fresh = (LinearRepresentation(source.v, source.gamma, source.w,
+                                           source.msd_first)
+                      for _ in range(2))
+        for _ in range(5000):
+            evaluate(rep, rng.randrange(1 << 200))
+        assert all(0 < len(kind) <= 2 ** (CHUNK + 1) for kind in rep.chunks)
+        assert fresh.chunks == ({}, {})
+        assert rep == fresh and hash(rep) == hash(fresh)
+        assert repr(rep) == repr(fresh)
 
 
 @pytest.mark.parametrize("name", LR_FIXTURES)
