@@ -88,12 +88,7 @@ def _automaton_route(machines, start: int, length: int):
 
 def _counting_reps(state_cap: int):
     report = logic.run_script(fixture_text("paper_count.wal"), state_cap)
-    out = {}
-    for name in ("mab", "mabba"):
-        machine = report.result(name).automaton
-        out[name] = linrep.extract_counting(
-            linrep.counting_query(machine, "i", "n"))
-    return out
+    return {name: report.result(name).rep for name in ("mab", "mabba")}
 
 
 # ---------------------------------------------------------------------------
@@ -176,18 +171,24 @@ def _show(routes) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(routes.items()))
 
 
-def _route_values(n: int, reps, counts):
-    f_routes = {"brute": counts[core.PatternClass.AB]}
-    g_routes = {"brute": counts[core.PatternClass.ABBA]}
-    f_routes["linrep"] = linrep.evaluate(reps["mab"], n - 1)
-    g_routes["linrep"] = linrep.evaluate(reps["mabba"], n - 1)
-    if n >= 2:
-        f_routes["recurrence"] = 2 * core.a006165(n - 1)
-        f_routes["closed"] = core.f_closed(n)
-    g_routes["recurrence"] = core.a060973(n - 1)
-    if n >= 3:
-        g_routes["closed"] = core.g_closed(n)
-    return f_routes, g_routes
+def _count_rows(reps, n_max: int, window: int, min_occ: int):
+    """For n = 1..n_max: the class counts of the length-n factors, then the
+    f and g routes (brute force, linear representation, recurrence and,
+    where defined, closed form), each a dict from route to value."""
+    lengths = core.classify_lengths(n_max, window, min_occ)
+    for n, classes in enumerate(lengths, 1):
+        counts = Counter(classes.values())
+        f_routes = {"brute": counts[core.PatternClass.AB],
+                    "linrep": linrep.evaluate(reps["mab"], n - 1)}
+        g_routes = {"brute": counts[core.PatternClass.ABBA],
+                    "linrep": linrep.evaluate(reps["mabba"], n - 1),
+                    "recurrence": core.a060973(n - 1)}
+        if n >= 2:
+            f_routes["recurrence"] = 2 * core.a006165(n - 1)
+            f_routes["closed"] = core.f_closed(n)
+        if n >= 3:
+            g_routes["closed"] = core.g_closed(n)
+        yield counts, f_routes, g_routes
 
 
 def cmd_count(args):
@@ -198,14 +199,12 @@ def cmd_count(args):
     if args.window < args.n_max:
         raise ValueError(f"--window {args.window} is shorter than the longest "
                          f"factor, n_max={args.n_max}")
-    reps = _counting_reps(args.state_cap)
+    rows = _count_rows(_counting_reps(args.state_cap), args.n_max,
+                       args.window, args.min_occ)
     pairs, errors = {}, []
     ok = True
     lines = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
-    lengths = core.classify_lengths(args.n_max, args.window, args.min_occ)
-    for n, classes in enumerate(lengths, 1):
-        counts = Counter(classes.values())
-        f_routes, g_routes = _route_values(n, reps, counts)
+    for n, (counts, f_routes, g_routes) in enumerate(rows, 1):
         flag = "" if _agree(f_routes) and _agree(g_routes) else "  MISMATCH"
         ok = ok and not flag
         short = counts[core.PatternClass.INSUFFICIENT]
@@ -292,9 +291,9 @@ def _selftest_classification(machines, window, min_occ) -> list[str]:
 def _selftest_counting(state_cap) -> list[str]:
     failures = []
     reps = _counting_reps(state_cap)
-    for n, classes in enumerate(core.classify_lengths(32, 1 << 14), 1):
-        counts = Counter(classes.values())
-        for name, routes in zip("fg", _route_values(n, reps, counts)):
+    rows = _count_rows(reps, 32, 1 << 14, core.DEFAULT_MIN_OCCURRENCES)
+    for n, (_, *f_and_g) in enumerate(rows, 1):
+        for name, routes in zip("fg", f_and_g):
             if not _agree(routes):
                 failures.append(f"row {n}: {name} routes disagree "
                                 f"[{_show(routes)}]")
@@ -399,8 +398,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(block)
     except (OSError, ValueError, logic.ScriptError, core.ClassificationError,
-            core.ResourceLimitError, linrep.NoncountableError,
-            au.StateLimitError) as exc:
+            core.ResourceLimitError, au.StateLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     for line in lines:

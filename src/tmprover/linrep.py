@@ -63,24 +63,6 @@ class LinearRepresentation:
     def dim(self) -> int:
         return len(self.v)
 
-    def word_value(self, digits):
-        """Value of a digit word, given in the order it is fed."""
-        word = "".join(map(str, digits))
-        # The first digit fed is the high bit of an MSD chunk, the low bit
-        # of an LSD one.
-        return self._value([
-            (int(part if self.msd_first else part[::-1], 2), len(part))
-            for part in (word[i:i + CHUNK]
-                         for i in range(0, len(word), CHUNK))] or [(0, 0)])
-
-    def _value(self, chunks):
-        """Value of the word fed as ``chunks``, (bits, length) pairs: the
-        first chunk read as a row vector, each later one as a matrix."""
-        x = self._chunk(0, *chunks[0])
-        for bits, length in chunks[1:]:
-            x = _mat_row(x, self._chunk(1, bits, length))
-        return sum(xi * wi for xi, wi in zip(x, self.w))
-
     def _chunk(self, kind, bits, length):
         """The table entry of a chunk: v . gamma(chunk) for kind 0, the
         sparse rows of gamma(chunk) for kind 1.  It is built from the entry
@@ -150,7 +132,11 @@ def evaluate(rep: LinearRepresentation, n: int):
     chunks.append((n, n.bit_length()))
     if rep.msd_first:
         chunks.reverse()
-    return rep._value(chunks)
+    # The first chunk fed is read as a row vector, each later one as a matrix.
+    x = rep._chunk(0, *chunks[0])
+    for bits, length in chunks[1:]:
+        x = _mat_row(x, rep._chunk(1, bits, length))
+    return sum(xi * wi for xi, wi in zip(x, rep.w))
 
 
 @dataclass(frozen=True)
@@ -162,11 +148,17 @@ class CountingQuery:
 
 def counting_query(machine: au.MultiTrackAutomaton, counted: str,
                    parameter: str) -> CountingQuery:
+    """The query counting ``counted`` per value of ``parameter``: the
+    machine's tracks must be exactly these two variables."""
+    if parameter not in machine.tracks:
+        raise ValueError(f"counting variable {parameter!r} is not free in the "
+                         f"formula (free: {machine.tracks})")
     if machine.arity != 2:
-        raise ValueError("counting needs a two-track automaton")
+        raise ValueError("counting needs exactly two free variables, got "
+                         f"{machine.tracks}")
     if {counted, parameter} != set(machine.tracks):
-        raise ValueError(
-            f"tracks {machine.tracks} do not match ({counted}, {parameter})")
+        raise ValueError(f"counted variable {counted!r} is not the other free "
+                         f"variable (free: {machine.tracks})")
     if not au.is_zero_closed(machine):
         # The gamma(0) limit in extract_counting counts values, not
         # encodings, only when padding zeros keep acceptance.
@@ -216,7 +208,9 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
             break
         w = nxt
     else:
-        raise NoncountableError("gamma(0) limit of w failed to stabilize")
+        raise NoncountableError(
+            f"infinitely many {query.counted!r} for some {query.parameter!r}: "
+            "the gamma(0) limit of w does not settle")
     return LinearRepresentation(v, tuple(gamma), tuple(w), msd_first=False)
 
 

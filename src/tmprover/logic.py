@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, field
 
 from tmprover import automata as au
+from tmprover import linrep
 
 # A NAME token starts with a letter, so no variable can take a fresh name.
 _FRESH_PREFIX = "_t"
@@ -551,6 +552,7 @@ class CommandResult:
     verdict: str  # "TRUE" | "FALSE" | "n/a"
     elapsed_ms: float
     automaton: au.MultiTrackAutomaton
+    rep: linrep.LinearRepresentation | None  # eval NAME VAR only
 
 
 @dataclass
@@ -567,7 +569,9 @@ class ProofReport:
 def run_script(source: str,
                state_cap: int = au.DEFAULT_STATE_CAP) -> ProofReport:
     """Execute a script: defs populate the environment in order, evals are
-    decided (or compiled, for the counting/free-variable forms).  Every
+    decided, or compiled if they have free variables, and each ``eval NAME
+    VAR`` yields the linear representation that counts, per value of VAR,
+    the values of its formula's other free variable.  Every
     command compiles through one ``Compiler``, so a ``product`` or
     ``project`` that an earlier command already made is looked up, not
     rebuilt, and its time counts only in that earlier command."""
@@ -582,33 +586,29 @@ def run_script(source: str,
         start = time.perf_counter()
         try:
             machine = compiler.compile(cmd.formula)
-            params = machine.tracks
+            verdict, rep = "n/a", None
             if cmd.kind == "def":
                 env[cmd.name] = machine
-                verdict = "n/a"
             elif cmd.kind == "eval_count":
-                if cmd.count_var not in params:
-                    raise CompileError(
-                        f"counting variable {cmd.count_var!r} is not free in "
-                        f"{cmd.name!r} (free: {params})")
-                if len(params) != 2:
-                    raise CompileError(
-                        "counting eval needs exactly two free variables, "
-                        f"got {params}")
-                verdict = "n/a"
-            elif params:
-                verdict = "n/a"
-            else:
+                counted = next((t for t in machine.tracks
+                                if t != cmd.count_var), None)
+                try:
+                    query = linrep.counting_query(machine, counted,
+                                                  cmd.count_var)
+                except ValueError as exc:
+                    raise CompileError(str(exc)) from exc
+                rep = linrep.extract_counting(query)
+            elif not machine.tracks:
                 verdict = "TRUE" if not au.is_empty(machine) else "FALSE"
         except RecursionError:
             raise ScriptError(f"{cmd.kind} {cmd.name} (line {cmd.line}): "
                               f"formula nests too deeply") from None
-        except (CompileError, au.StateLimitError,
+        except (CompileError, linrep.NoncountableError, au.StateLimitError,
                 au.TrackMismatchError) as exc:
             raise ScriptError(
                 f"{cmd.kind} {cmd.name} (line {cmd.line}): {exc}") from exc
         elapsed = (time.perf_counter() - start) * 1000.0
         report.commands.append(CommandResult(
             kind=cmd.kind, name=cmd.name, verdict=verdict,
-            elapsed_ms=elapsed, automaton=machine))
+            elapsed_ms=elapsed, automaton=machine, rep=rep))
     return report

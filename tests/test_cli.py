@@ -300,6 +300,23 @@ def test_call_arity_mismatch_exits_2(tmp_path, capsys, source, message):
     assert captured.err == f"error: eval q (line 2): {message}\n"
 
 
+@pytest.mark.parametrize("source, message", [
+    ('eval d n "n<=i":', "infinitely many 'i' for some 'n'"),
+    ('eval d z "x<y":', "counting variable 'z' is not free"),
+    ('eval d n "n>0":', "counting needs exactly two free variables"),
+], ids=["noncountable", "parameter-not-free", "one-variable"])
+def test_counting_failures_exit_2(tmp_path, capsys, source, message):
+    script = tmp_path / "count.wal"
+    script.write_text(source + "\n")
+    expected = tmp_path / "count.expected"
+    expected.write_text("d=n/a\n")
+    assert run_cli("prove", script, "--expected", expected) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: eval_count d (line 1): ")
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
 def test_prove_rejects_reused_command_name(tmp_path, capsys):
     # Verdicts and expectations are keyed by name: with the name reused,
     # the check would read one command and the report show the other.
@@ -447,11 +464,14 @@ def test_selftest_algebra_fails_on_a_broken_emptiness_test(capsys,
     assert "selftest.counting: pass" in out
 
 
-def test_selftest_counting_fails_on_a_broken_route(capsys, monkeypatch):
+def test_selftest_counting_fails_on_a_broken_route(capsys, monkeypatch,
+                                                  request):
     """The counting suite compares every route of rows 1..32: with the
     recurrence off by one, it fails and names a row, while the suites that
     do not count still pass."""
     a006165 = core.a006165
+    # Its recursion calls the patched name, so its cache keeps wrong values.
+    request.addfinalizer(a006165.cache_clear)
     monkeypatch.setattr(core, "a006165", lambda n: a006165(n) + 1)
     code = run_cli("selftest")
     out = capsys.readouterr().out

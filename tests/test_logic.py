@@ -15,6 +15,7 @@ from formula_strategies import QUANT_BOUND, atoms, def_chain_scripts, formulas
 from tmprover import automata as au
 from tmprover import logic
 from tmprover.core import tm_bit
+from tmprover.linrep import evaluate
 from tmprover.logic import (
     And, Call, Compare, CompileError, Const, Exists, Forall, Iff, Implies,
     Not, Or, ParseError, ScriptError, SeqCompare, Sum, Var,
@@ -542,10 +543,38 @@ def test_run_script_unknown_predicate():
 
 
 def test_run_script_counting_needs_free_parameter():
-    with pytest.raises(ScriptError):
+    with pytest.raises(ScriptError, match=re.escape(
+            "eval_count c (line 1): counting variable 'z' is not free in the "
+            "formula (free: ('x', 'y'))")):
         run_script('eval c z "x<y":')
-    with pytest.raises(ScriptError):
+    with pytest.raises(ScriptError, match=re.escape(
+            "eval_count c (line 1): counting needs exactly two free "
+            "variables, got ('x', 'y', 'z')")):
         run_script('eval c x "x<y & y<z":')
+    with pytest.raises(ScriptError, match=re.escape(
+            "eval_count c (line 1): counting needs exactly two free "
+            "variables, got ('n',)")):
+        run_script('eval c n "n>0":')
+
+
+def test_run_script_rejects_an_infinite_count():
+    with pytest.raises(ScriptError, match=re.escape(
+            "eval_count d (line 2): infinitely many 'i' for some 'n'")):
+        run_script('eval c m "i<m":\neval d n "n<=i":')
+
+
+@pytest.mark.parametrize("source", ['eval c m "i<m":', 'eval c a "b<a":'],
+                         ids=["counted-first", "parameter-first"])
+def test_run_script_counting_rep_counts_per_parameter(source):
+    # Either way round, the representation values each parameter value m
+    # with the m counted values below it.
+    rep = run_script(source).result("c").rep
+    assert [evaluate(rep, m) for m in range(64)] == list(range(64))
+
+
+def test_run_script_rep_only_for_counting_commands():
+    report = run_script('def p "x<y":\neval q "Ex,y x<y":\neval r "x<y":')
+    assert [c.rep for c in report.commands] == [None, None, None]
 
 
 def test_run_script_records_sizes_and_timing():
@@ -672,3 +701,7 @@ def test_def_chain_scripts_match_direct_evaluation(script):
             env[cmd.name], predicates[cmd.name] = alone, value
         elif cmd.kind == "eval":
             assert result.verdict == ("TRUE" if value() else "FALSE")
+        else:  # eval counted n "i<=n & ...": count the i <= n per n
+            for n in range(8):
+                assert evaluate(result.rep, n) == sum(
+                    value(i, n) for i in range(n + 1)), (cmd.name, n)
