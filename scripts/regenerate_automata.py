@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Regenerate the snapshots under snapshots/.
 
-Writes the canonical compact text form (LSD convention, the engine's
-internal one) and an MSD DOT rendering for each of the four pattern
-predicates, the ``prove --out`` block of each shipped proof script, and
-the ``--out`` blocks of ``count 64`` and ``classify 2 3``.  Output is
+Writes, for each of the four pattern predicates, the canonical compact
+text form of its LSD-first machine (``run_reversed`` of the engine's
+MSD-first one) and the DOT rendering of the MSD-first machine itself;
+then the ``prove --out`` block of each shipped proof script, and the
+``--out`` blocks of ``count 64`` and ``classify 2 3``.  Output is
 deterministic, so a clean checkout regenerates byte-identical files;
 tests/test_snapshots.py and CI's ``git diff --exit-code snapshots/``
 both enforce that for all of them.
@@ -37,10 +38,11 @@ def main():
     machines = cli._pattern_machines(au.DEFAULT_STATE_CAP)
     for name in cli.PATTERN_NAMES:
         machine = machines[name]
-        (out_dir / f"{name}.aut").write_text(au.to_compact_text(machine))
+        lsd = au.run_reversed(machine)
+        (out_dir / f"{name}.aut").write_text(au.to_compact_text(lsd))
         (out_dir / f"{name}.dot").write_text(au.export_dot(machine, "msd"))
-        print(f"{name}: {machine.num_states} states (lsd), "
-              f"dot rendered msd-first")
+        print(f"{name}: {machine.num_states} states (msd), "
+              f"{lsd.num_states} states (lsd, compact text)")
     for name, argv in OUT_BLOCKS.items():
         out = out_dir / f"{name}.out"
         # The human-readable report carries timings; only --out is kept.

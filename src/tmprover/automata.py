@@ -1,10 +1,11 @@
 """Multi-track binary automata and the boolean/quantifier algebra over them.
 
 An automaton reads tuples of binary digits, one digit per track per step,
-least-significant digit first.  A track corresponds to a free variable; a
+most-significant digit first.  A track corresponds to a free variable; a
 word over the tuple alphabet encodes a tuple of natural numbers, and every
 canonical automaton here is *zero-closed*: acceptance depends only on the
-encoded values, never on how many trailing all-zero tuples pad the word.
+encoded values, never on how many leading all-zero tuples pad the word, so
+the all-zero symbol loops on the initial state.
 
 Symbols are packed into integers: bit ``i`` of a symbol is the digit on
 track ``i`` (tracks are kept sorted by name).  Given canonical machines
@@ -16,7 +17,9 @@ BFS.  ``product`` reads the sorted union of its operands' tracks, and a
 name that occurs twice reads one digit on every track that has it: a
 ``rename_tracks`` that maps two tracks to one name merges them (and
 minimizes, since a merged machine need not be minimal), and the base
-machines accept a repeated track name.
+machines accept a repeated track name.  ``run_reversed`` gives the machine
+of the reversed words, which reads least-significant digit first; only
+the exports use it.
 """
 
 from __future__ import annotations
@@ -132,26 +135,10 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
 
 
 def is_zero_closed(a: MultiTrackAutomaton) -> bool:
-    """Structural check: acceptance is invariant under the all-zero symbol."""
-    return all((q in a.accepting) == (row[0] in a.accepting)
-               for q, row in enumerate(a.transitions))
-
-
-def _saturate(accepting, successors) -> set:
-    """States from which the moves in ``successors`` can reach
-    ``accepting``; ``successors[q]`` lists the states q moves to.  Its
-    callers are ``project`` (moves on the symbols that are zero on every
-    remaining track) and ``linrep`` (moves on any symbol: the live
-    states)."""
-    saturated = set(accepting)
-    changed = True
-    while changed:
-        changed = False
-        for q, targets in enumerate(successors):
-            if q not in saturated and any(t in saturated for t in targets):
-                saturated.add(q)
-                changed = True
-    return saturated
+    """Acceptance is invariant under leading all-zero symbols: the all-zero
+    symbol loops on the initial state.  The loop is sufficient on any
+    machine, and necessary on a minimal one."""
+    return a.transitions[a.initial][0] == a.initial
 
 
 def _reread(a: MultiTrackAutomaton, names, schema) -> tuple:
@@ -229,10 +216,11 @@ def project(a: MultiTrackAutomaton, track: str,
     """Existential quantification of one track.
 
     The track's digit component is erased (yielding a nondeterministic
-    machine), acceptance is saturated backward along symbols whose remaining
-    digits are all zero (the witness may need more digits than the other
-    tracks), and the subset construction yields the canonical minimal
-    result.  More than ``state_cap`` subsets raise StateLimitError.
+    machine), the initial set is closed forward along the symbols whose
+    remaining digits are all zero (the witness may need more digits than
+    the other tracks: its leading ones), and the subset construction yields
+    the canonical minimal result.  More than ``state_cap`` subsets raise
+    StateLimitError.
     """
     pos = a.track_index(track)
     rest = a.tracks[:pos] + a.tracks[pos + 1:]
@@ -241,8 +229,14 @@ def project(a: MultiTrackAutomaton, track: str,
     half = 1 << len(rest)
     nfa_trans = [list(zip(row[:half], row[half:]))
                  for row in _reread(a, a.tracks, rest + (track,))]
-    saturated = _saturate(a.accepting, [row[0] for row in nfa_trans])
-    result = _determinize(rest, nfa_trans, {a.initial}, saturated, state_cap)
+    initial = {a.initial}
+    stack = [a.initial]
+    while stack:
+        for t in nfa_trans[stack.pop()][0]:
+            if t not in initial:
+                initial.add(t)
+                stack.append(t)
+    result = _determinize(rest, nfa_trans, initial, a.accepting, state_cap)
     assert is_zero_closed(result)
     return result
 
@@ -269,7 +263,7 @@ def equivalent(a: MultiTrackAutomaton, b: MultiTrackAutomaton) -> bool:
 
 
 def accepts(a: MultiTrackAutomaton, values) -> bool:
-    """Membership of a value tuple (one natural per track), read LSD
+    """Membership of a value tuple (one natural per track), read MSD
     first for as many digits as the longest value has."""
     values = list(values)
     if len(values) != a.arity:
@@ -278,7 +272,7 @@ def accepts(a: MultiTrackAutomaton, values) -> bool:
     if any(v < 0 for v in values):
         raise ValueError("values must be nonnegative")
     q = a.initial
-    for k in range(max([v.bit_length() for v in values] + [0])):
+    for k in reversed(range(max([v.bit_length() for v in values] + [0]))):
         q = a.transitions[q][sum((v >> k & 1) << i
                                  for i, v in enumerate(values))]
     return q in a.accepting
@@ -286,7 +280,9 @@ def accepts(a: MultiTrackAutomaton, values) -> bool:
 
 def run_reversed(a: MultiTrackAutomaton,
                  state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
-    """Machine for the reversed language (MSD-first reading), canonical."""
+    """Machine for the reversed words, canonical: it reads the values of
+    ``a`` least-significant digit first, padded with trailing zeros.  It
+    is not zero-closed in this module's sense; only the exports use it."""
     n = a.num_states
     nfa_trans = [[[] for _ in range(a.num_symbols)] for _ in range(n)]
     for q, row in enumerate(a.transitions):
@@ -323,17 +319,16 @@ _CMP_ACCEPT = {
 
 
 def comparison(left: str, right: str, op: str) -> MultiTrackAutomaton:
-    """x op y over tracks (left, right); LSD-first status machine.
+    """x op y over tracks (left, right); MSD-first status machine.
 
-    State 0: equal so far, 1: left < right, 2: left > right; later (more
-    significant) digits override, so the status at end of word is decided by
-    the most significant differing digit, as required.
+    State 0: equal so far, 1: left < right, 2: left > right.  The first
+    (most significant) differing digit decides, and the status then stays.
     """
     if op not in _CMP_ACCEPT:
         raise ValueError(f"unknown comparison {op!r}")
 
     def step(q, d):
-        if d["l"] == d["r"]:
+        if q or d["l"] == d["r"]:
             return q
         return 1 if d["l"] < d["r"] else 2
 
@@ -341,31 +336,36 @@ def comparison(left: str, right: str, op: str) -> MultiTrackAutomaton:
 
 
 def adder(x: str, y: str, z: str) -> MultiTrackAutomaton:
-    """x + y = z; the classic 2-state LSD carry machine (plus sink)."""
+    """x + y = z; an MSD-first carry machine of two states plus the sink.
+
+    The state is the carry the lower digits must supply: a position whose
+    carry out is c needs carry in z + 2c - x - y, which must be 0 or 1.
+    No carry leaves the most significant digit, none enters the least.
+    """
 
     def step(q, d):
         if q == 2:
             return 2
-        total = d["x"] + d["y"] + q
-        return total // 2 if total % 2 == d["z"] else 2
+        carry = d["z"] + 2 * q - d["x"] - d["y"]
+        return carry if carry in (0, 1) else 2
 
     return _build({"x": x, "y": y, "z": z}, 0, {0}, step)
 
 
 def constant(value: int, track: str) -> MultiTrackAutomaton:
-    """Single-track machine accepting exactly the encodings of ``value``."""
+    """Single-track machine accepting exactly the encodings of ``value``:
+    leading zeros loop on the initial state, then the digits of ``value``
+    follow, most significant first."""
     if value < 0:
         raise ValueError("constants are nonnegative")
-    digits = [(value >> k) & 1 for k in range(value.bit_length())]
+    digits = [int(c) for c in format(value, "b")] if value else []
     n = len(digits)
     dead = n + 1
 
     def step(q, d):
-        if q == dead:
-            return dead
-        if q < n:
-            return q + 1 if d["v"] == digits[q] else dead
-        return n if d["v"] == 0 else dead
+        if q < n and d["v"] == digits[q]:
+            return q + 1
+        return 0 if q == 0 and d["v"] == 0 else dead
 
     return _build({"v": track}, 0, {n}, step)
 
@@ -377,7 +377,7 @@ def constant(value: int, track: str) -> MultiTrackAutomaton:
 def seq_const(u: str, bit: int) -> MultiTrackAutomaton:
     """Machine for  T[u] = bit: the two-state parity machine on track
     ``u``, whose state is the parity of the 1 digits read so far.  Parity
-    does not depend on digit order, and a trailing 0 leaves it unchanged,
+    does not depend on digit order, and a leading 0 leaves it unchanged,
     so the machine is zero-closed.  Every sequence comparison is built
     from it, ``T[u] = T[v]`` as the ``iff`` product of ``T[u] = 1`` and
     ``T[v] = 1``."""
@@ -390,12 +390,13 @@ def seq_const(u: str, bit: int) -> MultiTrackAutomaton:
 # Export
 
 
-def export_dot(a: MultiTrackAutomaton, digit_order: str = "lsd") -> str:
-    """GraphViz rendering; ``msd`` reverses the machine first so the picture
-    reads most-significant digit first."""
-    if digit_order == "msd":
+def export_dot(a: MultiTrackAutomaton, digit_order: str = "msd") -> str:
+    """GraphViz rendering of ``a`` as it reads, most-significant digit
+    first; ``lsd`` renders ``run_reversed(a)``, which reads least-significant
+    digit first."""
+    if digit_order == "lsd":
         a = run_reversed(a)
-    elif digit_order != "lsd":
+    elif digit_order != "msd":
         raise ValueError("digit_order must be 'msd' or 'lsd'")
     lines = ["digraph {", "  rankdir=LR;",
              f"  // tracks: {', '.join(a.tracks) if a.tracks else '(none)'}"

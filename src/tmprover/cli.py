@@ -374,7 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="DOT rendering of a pattern automaton")
     p.add_argument("pattern", choices=PATTERN_NAMES)
-    p.add_argument("--digit-order", choices=("lsd", "msd"), default="msd")
+    p.add_argument("--digit-order", choices=("lsd", "msd"), default="msd",
+                   help="msd: the machine as the engine reads it, most "
+                        "significant digit first (default); lsd: the "
+                        "machine of the reversed words")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("selftest", help="oracle-vs-automata invariant suites")

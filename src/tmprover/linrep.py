@@ -159,33 +159,47 @@ def counting_query(machine: au.MultiTrackAutomaton, counted: str,
     if {counted, parameter} != set(machine.tracks):
         raise ValueError(f"counted variable {counted!r} is not the other free "
                          f"variable (free: {machine.tracks})")
+    machine = au.minimize(machine)  # so every state is reachable
     if not au.is_zero_closed(machine):
         # The gamma(0) limit in extract_counting counts values, not
-        # encodings, only when padding zeros keep acceptance.
+        # encodings, only when leading zeros keep acceptance.
         raise ValueError("counting needs a zero-closed automaton")
-    machine = au.minimize(machine)  # so every state is reachable
     return CountingQuery(machine, counted, parameter)
 
 
 def _live_states(a: au.MultiTrackAutomaton):
-    """Sorted states that can reach acceptance (all are reachable)."""
-    return sorted(au._saturate(a.accepting, a.transitions))
+    """Sorted states that can reach acceptance (all are reachable): a
+    worklist over the reversed edges, which reads each edge once."""
+    sources = [[] for _ in range(a.num_states)]
+    for q, row in enumerate(a.transitions):
+        for t in set(row):
+            sources[t].append(q)
+    live = set(a.accepting)
+    stack = list(live)
+    while stack:
+        for q in sources[stack.pop()]:
+            if q not in live:
+                live.add(q)
+                stack.append(q)
+    return sorted(live)
 
 
 def extract_counting(query: CountingQuery) -> LinearRepresentation:
     """Counting representation of a two-track automaton, LSD convention.
 
-    gamma(d) sums the transition matrices over the counted track's digit;
-    v marks the initial state; w starts as the accepting indicator and is
-    then replaced by its gamma(0) limit, which exists exactly when every
-    parameter admits finitely many counted values; NoncountableError
-    otherwise.  With that limit absorbed, valuing the canonical LSD digits
-    of n yields the exact count.
+    The machine reads MSD first, so the representation reads its edges
+    backwards: gamma(d)[t][q] counts the counted digits on which q moves to
+    t while the parameter reads d, v marks the accepting states and w the
+    initial state.  w is then replaced by its gamma(0) limit, which adds the
+    counted values longer than the parameter (read over its leading zeros)
+    and exists exactly when every parameter admits finitely many counted
+    values; NoncountableError otherwise.  With that limit absorbed, valuing
+    the canonical LSD digits of n yields the exact count.
     """
     a = query.automaton
     ci, pi = a.track_index(query.counted), a.track_index(query.parameter)
     live = _live_states(a)
-    if not live or a.initial not in live:
+    if a.initial not in live:
         return LinearRepresentation((), ((), ()), (), msd_first=False)
     index = {q: i for i, q in enumerate(live)}
     dim = len(live)
@@ -196,10 +210,10 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
             for b in (0, 1):
                 t = a.transitions[q][(b << ci) | (d << pi)]
                 if t in index:
-                    mat[index[q]][index[t]] += 1
+                    mat[index[t]][index[q]] += 1
         gamma.append(tuple(tuple(row) for row in mat))
-    v = tuple(1 if q == a.initial else 0 for q in live)
-    w = [1 if q in a.accepting else 0 for q in live]
+    v = tuple(1 if q in a.accepting else 0 for q in live)
+    w = [1 if q == a.initial else 0 for q in live]
     limit = 2 * dim + 8
     for _ in range(limit):
         nxt = [sum(gamma[0][i][j] * w[j] for j in range(dim))

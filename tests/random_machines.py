@@ -11,31 +11,37 @@ from tmprover import automata as au
 
 def zero_close(a: au.MultiTrackAutomaton) -> au.MultiTrackAutomaton:
     """Closure of the language under the value semantics: accepts a word
-    iff some encoding of the same value tuple was accepted.
+    iff some encoding of the same value tuple was accepted, that is iff
+    some state of the zero orbit (the states all-zero symbols reach from
+    the initial one) accepts the word less its leading zeros.
 
-    State (cur, anchor) pairs the running state with the state reached
-    after the last nonzero symbol; it accepts iff the anchor can reach
-    acceptance by all-zero symbols alone.  The table holds all n * n pairs
-    and ``minimize`` keeps the reachable classes, canonically numbered.
+    Key None reads the leading zeros; the first nonzero symbol moves to the
+    set of states it reaches from the orbit, and the sets move on as in a
+    subset construction.  ``minimize`` numbers the result canonically.
     """
-    n = a.num_states
-    zero_accepting = set(a.accepting)
-    while True:
-        more = {q for q, row in enumerate(a.transitions)
-                if row[0] in zero_accepting} - zero_accepting
-        if not more:
-            break
-        zero_accepting |= more
+    orbit = []
+    q = a.initial
+    while q not in orbit:
+        orbit.append(q)
+        q = a.transitions[q][0]
+    ids = {None: 0}
+    keys = [None]
     trans = []
-    for cur in range(n):
-        row = a.transitions[cur]
-        for anchor in range(n):
-            trans.append([row[0] * n + anchor]
-                         + [t * n + t for t in row[1:]])
-    accepting = {cur * n + anchor for cur in range(n)
-                 for anchor in zero_accepting}
-    result = au.minimize(au.MultiTrackAutomaton(
-        a.tracks, trans, a.initial * n + a.initial, accepting))
+    for key in keys:  # a FIFO worklist
+        states = orbit if key is None else key
+        row = []
+        for sym in range(a.num_symbols):
+            nxt = (None if key is None and sym == 0 else
+                   frozenset(a.transitions[s][sym] for s in states))
+            if nxt not in ids:
+                ids[nxt] = len(keys)
+                keys.append(nxt)
+            row.append(ids[nxt])
+        trans.append(row)
+    accepting = {i for i, key in enumerate(keys)
+                 if not a.accepting.isdisjoint(orbit if key is None else key)}
+    result = au.minimize(au.MultiTrackAutomaton(a.tracks, trans, 0,
+                                                accepting))
     assert au.is_zero_closed(result)
     return result
 

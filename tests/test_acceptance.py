@@ -160,19 +160,19 @@ def test_criterion_7_intertwining_ground_truth():
 
 
 def _exists_witness(machine, x, x_pos, y_pos):
-    """Reference check for 'some y makes (x, y) accepted', by plain BFS."""
+    """Reference check for 'some y makes (x, y) accepted', by plain BFS:
+    y's leading digits beyond x's are read against zeros of x, then both
+    are read MSD first."""
     states = {machine.initial}
-    for digit in digits_of(x, msd_first=False):
-        states = {machine.transitions[q][(digit << x_pos) | (b << y_pos)]
-                  for q in states for b in (0, 1)}
-    seen = set(states)
     frontier = states
     while frontier:
-        nxt = {machine.transitions[q][b << y_pos]
-               for q in frontier for b in (0, 1)} - seen
-        seen |= nxt
-        frontier = nxt
-    return bool(seen & machine.accepting)
+        frontier = {machine.transitions[q][b << y_pos]
+                    for q in frontier for b in (0, 1)} - states
+        states |= frontier
+    for digit in digits_of(x, msd_first=True):
+        states = {machine.transitions[q][(digit << x_pos) | (b << y_pos)]
+                  for q in states for b in (0, 1)}
+    return bool(states & machine.accepting)
 
 
 def test_criterion_8_algebra_suite(extracted_reps):

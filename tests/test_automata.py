@@ -72,6 +72,48 @@ def test_seq_const_matches_tm_bit():
     assert all(au.accepts(one, [k]) == tm_bit(k) for k in range(1 << 16))
 
 
+def _reads(m, values, width):
+    """Acceptance of the ``width``-digit encoding of ``values``, read MSD
+    first; ``accepts`` reads only as many digits as the longest value."""
+    q = m.initial
+    for k in reversed(range(width)):
+        q = m.transitions[q][sum((v >> k & 1) << i
+                                 for i, v in enumerate(values))]
+    return q in m.accepting
+
+
+def _agrees_padded(m, relation):
+    """Every tuple of values below 32, padded with 0-3 leading zero
+    digits, is accepted exactly when it satisfies ``relation``."""
+    for values in itertools.product(range(32), repeat=m.arity):
+        width = max(v.bit_length() for v in values)
+        want = relation(*values)
+        for pad in range(4):
+            assert _reads(m, values, width + pad) == want, (values, pad)
+
+
+@pytest.mark.parametrize("op,relation", [
+    ("=", lambda x, y: x == y), ("!=", lambda x, y: x != y),
+    ("<", lambda x, y: x < y), ("<=", lambda x, y: x <= y),
+    (">", lambda x, y: x > y), (">=", lambda x, y: x >= y)])
+def test_comparison_brute_force(op, relation):
+    _agrees_padded(au.comparison("x", "y", op), relation)
+
+
+def test_adder_brute_force():
+    _agrees_padded(au.adder("x", "y", "z"), lambda x, y, z: x + y == z)
+
+
+@pytest.mark.parametrize("value", [0, 5] + [1 << k for k in range(5)])
+def test_constant_brute_force(value):
+    _agrees_padded(au.constant(value, "x"), lambda x: x == value)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_seq_const_brute_force(bit):
+    _agrees_padded(au.seq_const("u", bit), lambda u: tm_bit(u) == bit)
+
+
 def test_adder_minimal_size():
     # Carry machine: two live states plus the completion sink.
     add = au.adder("x", "y", "z")
@@ -115,7 +157,7 @@ def test_project_smaller_side():
 
 def test_project_saturation_needed():
     # exists x: y < x  is universal; the witness may need one digit more
-    # than y, which only the zero-padding saturation can see.
+    # than y, which only the leading-zero closure of the initial set sees.
     some_above = au.project(au.comparison("y", "x", "<"), "x")
     assert au.is_empty(au.complement(some_above))
 
@@ -195,7 +237,7 @@ def test_rename_swapping_tracks():
 @pytest.mark.parametrize("construct", [
     lambda: au.product(au.comparison("x", "y", "="),
                        au.comparison("x", "y", "<"), "and", state_cap=1),
-    lambda: au.project(au.adder("x", "y", "z"), "z", state_cap=1),
+    lambda: au.project(au.comparison("y", "x", "<"), "y", state_cap=1),
     lambda: au.run_reversed(au.comparison("x", "y", "<"), state_cap=1),
 ], ids=["product", "project", "run_reversed"])
 def test_state_cap_enforced(construct):
@@ -287,7 +329,7 @@ def test_minimization_canonicity_randomized():
         # A state-shuffled clone must canonicalize to the identical machine,
         # also when it carries unreachable states: a copy of a reachable
         # state, and an accepting state whose zero symbol leads to a
-        # rejecting sink (a language no zero-closed state has).
+        # rejecting sink (a language no reachable state need have).
         n = a.num_states
         copied = rng.randrange(n)
         copy, fresh, sink = n, n + 1, n + 2

@@ -283,6 +283,18 @@ def test_rank_zero_identity(extracted):
     assert diff.dim == 0
 
 
+def test_counting_reps_keep_the_lsd_convention(extracted):
+    # Automata read MSD first, yet a counting representation reads LSD
+    # first: callers subtract a reversed MSD fixture from it, and subtract
+    # refuses operands of mixed orders.
+    report = logic.run_script(COUNT_SCRIPT)
+    for name, rep in extracted.items():
+        assert rep.msd_first is False
+        assert report.result(name).rep == rep
+    r2 = reverse_rep(scale(from_recurrence_a006165(), 2))
+    assert minimize_rep(subtract(extracted["mab"], r2)).dim == 1
+
+
 def test_integer_reduction_stays_exact_with_rational_entries(extracted):
     r2 = from_recurrence_a006165()
     third = scale(r2, Fraction(1, 3))
@@ -298,11 +310,12 @@ def test_integer_reduction_stays_exact_with_rational_entries(extracted):
                    for n in range(64))
         assert not equal_reps(third, changed)
         assert not equal_reps(changed, third)
-    # A third of the rank-1 difference still reduces from 10 to 1.
+    # A third of the rank-1 difference still reduces from 8 (mab's 4 plus
+    # A006165's 4) to 1.
     diff = subtract(scale(extracted["mab"], Fraction(1, 3)),
                     reverse_rep(scale(r2, Fraction(2, 3))))
     rank1 = minimize_rep(diff)
-    assert (diff.dim, rank1.dim) == (10, 1)
+    assert (diff.dim, rank1.dim) == (8, 1)
     assert evaluate(rank1, 0) == Fraction(-2, 3)
     for n in range(513):
         assert evaluate(rank1, n) == evaluate(diff, n), n
@@ -462,9 +475,10 @@ def test_unbounded_counted_variable_is_noncountable(c, phi):
 
 
 def _pumps_counted_values(a, counted_pos) -> bool:
-    """Reference: a reachable state on a cycle of zero parameter digits
-    from which such digits read a counted 1 and then reach acceptance.
-    Pumping the cycle before that 1 gives one parameter infinitely many
+    """Reference: a live state on a cycle of zero parameter digits, reached
+    by such digits from the initial state after a counted 1.  The machine
+    reads MSD first, so these digits are leading zeros of the parameter,
+    and pumping the cycle after that 1 gives one parameter infinitely many
     counted values."""
     zero_syms = [b << counted_pos for b in (0, 1)]
 
@@ -480,14 +494,12 @@ def _pumps_counted_values(a, counted_pos) -> bool:
                     stack.append(row[s])
         return seen
 
-    for q in closure({a.initial}, range(4)):
+    one = a.transitions[a.initial][1 << counted_pos]
+    for q in closure({one}, zero_syms):
         row = a.transitions[q]
-        if q not in closure({row[s] for s in zero_syms}, zero_syms):
-            continue
-        for p in closure({q}, zero_syms):
-            one = a.transitions[p][1 << counted_pos]
-            if closure({one}, zero_syms) & a.accepting:
-                return True
+        if (q in closure({row[s] for s in zero_syms}, zero_syms)
+                and closure({q}, range(4)) & a.accepting):
+            return True
     return False
 
 
