@@ -2,13 +2,13 @@
 """Regenerate the snapshots under snapshots/.
 
 Writes, for each of the four pattern predicates, the canonical compact
-text form of its LSD-first machine (``run_reversed`` of the engine's
-MSD-first one) and the DOT rendering of the MSD-first machine itself;
-then the ``prove --out`` block of each shipped proof script, and the
-``--out`` blocks of ``count 64`` and ``classify 2 3``.  Output is
-deterministic, so a clean checkout regenerates byte-identical files;
-tests/test_snapshots.py and CI's ``git diff --exit-code snapshots/``
-both enforce that for all of them.
+text form and the DOT rendering of its machine as the engine reads it,
+most-significant digit first; then the ``prove --out`` block of each
+shipped proof script, and the ``--out`` blocks of ``count 64`` and
+``classify 2 3``.  Output is deterministic, so a clean checkout
+regenerates byte-identical files; tests/test_snapshots.py and CI (which
+requires ``git status --porcelain snapshots/`` to print nothing) both
+enforce that for all of them.
 """
 
 import contextlib
@@ -38,11 +38,9 @@ def main():
     machines = cli._pattern_machines(au.DEFAULT_STATE_CAP)
     for name in cli.PATTERN_NAMES:
         machine = machines[name]
-        lsd = au.run_reversed(machine)
-        (out_dir / f"{name}.aut").write_text(au.to_compact_text(lsd))
-        (out_dir / f"{name}.dot").write_text(au.export_dot(machine, "msd"))
-        print(f"{name}: {machine.num_states} states (msd), "
-              f"{lsd.num_states} states (lsd, compact text)")
+        (out_dir / f"{name}.aut").write_text(au.to_compact_text(machine))
+        (out_dir / f"{name}.dot").write_text(au.export_dot(machine))
+        print(f"{name}: {machine.num_states} states")
     for name, argv in OUT_BLOCKS.items():
         out = out_dir / f"{name}.out"
         # The human-readable report carries timings; only --out is kept.

@@ -17,9 +17,7 @@ BFS.  ``product`` reads the sorted union of its operands' tracks, and a
 name that occurs twice reads one digit on every track that has it: a
 ``rename_tracks`` that maps two tracks to one name merges them (and
 minimizes, since a merged machine need not be minimal), and the base
-machines accept a repeated track name.  ``run_reversed`` gives the machine
-of the reversed words, which reads least-significant digit first; only
-the exports use it.
+machines accept a repeated track name.
 """
 
 from __future__ import annotations
@@ -197,20 +195,6 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     return result
 
 
-def _determinize(tracks, nfa_trans, initial_set, accepting,
-                 state_cap) -> MultiTrackAutomaton:
-    """Subset construction, minimized; the empty set acts as the sink."""
-    symbols = range(1 << len(tracks))
-
-    def successors(cur):
-        return [frozenset(t for q in cur for t in nfa_trans[q][sym])
-                for sym in symbols]
-
-    return minimize(_explore(tracks, frozenset(initial_set), successors,
-                             lambda cur: not accepting.isdisjoint(cur),
-                             state_cap))
-
-
 def project(a: MultiTrackAutomaton, track: str,
             state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
     """Existential quantification of one track.
@@ -218,9 +202,9 @@ def project(a: MultiTrackAutomaton, track: str,
     The track's digit component is erased (yielding a nondeterministic
     machine), the initial set is closed forward along the symbols whose
     remaining digits are all zero (the witness may need more digits than
-    the other tracks: its leading ones), and the subset construction yields
-    the canonical minimal result.  More than ``state_cap`` subsets raise
-    StateLimitError.
+    the other tracks: its leading ones), and the subset construction, the
+    empty set acting as the sink, yields the canonical minimal result.  More
+    than ``state_cap`` subsets raise StateLimitError.
     """
     pos = a.track_index(track)
     rest = a.tracks[:pos] + a.tracks[pos + 1:]
@@ -236,7 +220,14 @@ def project(a: MultiTrackAutomaton, track: str,
             if t not in initial:
                 initial.add(t)
                 stack.append(t)
-    result = _determinize(rest, nfa_trans, initial, a.accepting, state_cap)
+
+    def successors(cur):
+        return [frozenset(t for q in cur for t in nfa_trans[q][sym])
+                for sym in range(half)]
+
+    result = minimize(_explore(rest, frozenset(initial), successors,
+                               lambda cur: not a.accepting.isdisjoint(cur),
+                               state_cap))
     assert is_zero_closed(result)
     return result
 
@@ -276,20 +267,6 @@ def accepts(a: MultiTrackAutomaton, values) -> bool:
         q = a.transitions[q][sum((v >> k & 1) << i
                                  for i, v in enumerate(values))]
     return q in a.accepting
-
-
-def run_reversed(a: MultiTrackAutomaton,
-                 state_cap: int = DEFAULT_STATE_CAP) -> MultiTrackAutomaton:
-    """Machine for the reversed words, canonical: it reads the values of
-    ``a`` least-significant digit first, padded with trailing zeros.  It
-    is not zero-closed in this module's sense; only the exports use it."""
-    n = a.num_states
-    nfa_trans = [[[] for _ in range(a.num_symbols)] for _ in range(n)]
-    for q, row in enumerate(a.transitions):
-        for sym, t in enumerate(row):
-            nfa_trans[t][sym].append(q)
-    return _determinize(a.tracks, nfa_trans, a.accepting, {a.initial},
-                        state_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +367,12 @@ def seq_const(u: str, bit: int) -> MultiTrackAutomaton:
 # Export
 
 
-def export_dot(a: MultiTrackAutomaton, digit_order: str = "msd") -> str:
+def export_dot(a: MultiTrackAutomaton) -> str:
     """GraphViz rendering of ``a`` as it reads, most-significant digit
-    first; ``lsd`` renders ``run_reversed(a)``, which reads least-significant
-    digit first."""
-    if digit_order == "lsd":
-        a = run_reversed(a)
-    elif digit_order != "msd":
-        raise ValueError("digit_order must be 'msd' or 'lsd'")
+    first."""
     lines = ["digraph {", "  rankdir=LR;",
              f"  // tracks: {', '.join(a.tracks) if a.tracks else '(none)'}"
-             f" ({digit_order} first)",
+             " (msd first)",
              "  init [shape=point];", f"  init -> s{a.initial};"]
     for q in range(a.num_states):
         shape = "doublecircle" if q in a.accepting else "circle"

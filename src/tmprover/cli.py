@@ -230,7 +230,7 @@ def cmd_count(args):
 
 def cmd_export(args):
     machines = _pattern_machines(args.state_cap)
-    return [], [], au.export_dot(machines[args.pattern], args.digit_order), True
+    return [], [], au.export_dot(machines[args.pattern]), True
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +243,10 @@ def _selftest_sequence() -> list[str]:
     if any(au.accepts(machine, [k]) != core.tm_bit(k)
            for k in range(1 << 12)):
         failures.append("sequence machine disagrees with bit parity")
+    differs = logic.compile_formula("T[k]!=1")
+    if any(au.accepts(differs, [k]) == core.tm_bit(k)
+           for k in range(1 << 12)):
+        failures.append("T[k]!=1 disagrees with bit parity")
     return failures
 
 
@@ -254,6 +258,12 @@ def _selftest_algebra(machines) -> list[str]:
             failures.append(f"algebra {name}: a & ~a nonempty")
         if not au.equivalent(au.complement(b), a):
             failures.append(f"algebra {name}: double complement")
+    # The conjunct that does not read x survives its elimination.
+    free = logic.compile_formula("Ex (x<y & z=1)")
+    if free.tracks != ("y", "z") or any(
+            au.accepts(free, [y, z]) != (y >= 1 and z == 1)
+            for y in range(16) for z in range(16)):
+        failures.append("Ex (x<y & z=1) is not y>=1 & z=1")
     return failures
 
 
@@ -304,7 +314,7 @@ def _selftest_counting(state_cap) -> list[str]:
     if any(linrep.evaluate(r4, n) != core.a060973(n) for n in range(65)):
         failures.append("a060973 fixture breaks its recurrence values")
     identities = (
-        (linrep.subtract(reps["mab"], linrep.reverse_rep(linrep.scale(r2, 2))),
+        (linrep.subtract(reps["mab"], linrep.scale(r2, 2)),
          _AB_DEFECT, "counting identity defect is not -2[n=0] of rank 1"),
         (reps["mabba"], r4,
          "counting identity for the ABBA class is not rank 0"),
@@ -312,8 +322,11 @@ def _selftest_counting(state_cap) -> list[str]:
          "mab differs from the shipped count_ab.lr"),
         (reps["mabba"], linrep.reference_count_abba(),
          "mabba differs from the shipped count_abba.lr"))
-    return failures + [message for a, b, message in identities
-                       if not linrep.equal_reps(a, b)]
+    failures += [message for a, b, message in identities
+                 if not linrep.equal_reps(a, b)]
+    if linrep.equal_reps(reps["mabba"], linrep.scale(r4, 2)):
+        failures.append("mabba equals twice A060973")
+    return failures
 
 
 def cmd_selftest(args):
@@ -374,10 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="DOT rendering of a pattern automaton")
     p.add_argument("pattern", choices=PATTERN_NAMES)
-    p.add_argument("--digit-order", choices=("lsd", "msd"), default="msd",
-                   help="msd: the machine as the engine reads it, most "
-                        "significant digit first (default); lsd: the "
-                        "machine of the reversed words")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("selftest", help="oracle-vs-automata invariant suites")

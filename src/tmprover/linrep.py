@@ -2,9 +2,10 @@
 
 A linear representation (v, gamma, w) values a digit word d1..dl as
 v . gamma(d1) ... gamma(dl) . w.  Counting representations extracted from a
-two-track automaton value the digit word of the parameter n with the number
-of accepted partner values i.  All arithmetic is exact (ints/Fractions);
-rank decisions tolerate no rounding.
+two-track automaton read the digits of the parameter n in the automaton's
+order, most significant first, and value them with the number of accepted
+partner values i.  All arithmetic is exact (ints/Fractions); rank decisions
+tolerate no rounding.
 
 Words are fed CHUNK digits at a time through a table on each
 representation: v . gamma(chunk) for the first chunk, the sparse rows of
@@ -35,9 +36,10 @@ class LinearRepresentation:
     """Row vector, two square digit matrices, column vector.
 
     ``msd_first`` records which end of the digit expansion is fed first
-    when valuing an integer.  Integral entries are held as ``int`` (equal,
-    with equal hashes, to the ``Fraction`` they replace); ``rows`` holds,
-    per digit, each matrix row's nonzero ``(column, coefficient)`` pairs.
+    when valuing an integer; by default the most significant, as automata
+    read.  Integral entries are held as ``int`` (equal, with equal hashes,
+    to the ``Fraction`` they replace); ``rows`` holds, per digit, each
+    matrix row's nonzero ``(column, coefficient)`` pairs.
     ``chunks`` is the chunk table, (first-chunk vectors, later-chunk rows),
     filled as words are valued; it takes no part in equality or ``repr``.
     """
@@ -45,7 +47,7 @@ class LinearRepresentation:
     v: tuple
     gamma: tuple  # (matrix for digit 0, matrix for digit 1)
     w: tuple
-    msd_first: bool = False
+    msd_first: bool = True
     rows: tuple = field(init=False, compare=False, repr=False)
     chunks: tuple = field(init=False, compare=False, repr=False)
 
@@ -185,22 +187,21 @@ def _live_states(a: au.MultiTrackAutomaton):
 
 
 def extract_counting(query: CountingQuery) -> LinearRepresentation:
-    """Counting representation of a two-track automaton, LSD convention.
+    """Counting representation of a two-track automaton, read MSD first.
 
-    The machine reads MSD first, so the representation reads its edges
-    backwards: gamma(d)[t][q] counts the counted digits on which q moves to
-    t while the parameter reads d, v marks the accepting states and w the
-    initial state.  w is then replaced by its gamma(0) limit, which adds the
+    gamma(d)[q][t] counts the counted digits on which q moves to t while
+    the parameter reads d, v marks the initial state and w the accepting
+    states.  v is then replaced by its gamma(0) limit, which adds the
     counted values longer than the parameter (read over its leading zeros)
     and exists exactly when every parameter admits finitely many counted
     values; NoncountableError otherwise.  With that limit absorbed, valuing
-    the canonical LSD digits of n yields the exact count.
+    the canonical digits of n yields the exact count.
     """
     a = query.automaton
     ci, pi = a.track_index(query.counted), a.track_index(query.parameter)
     live = _live_states(a)
     if a.initial not in live:
-        return LinearRepresentation((), ((), ()), (), msd_first=False)
+        return LinearRepresentation((), ((), ()), ())
     index = {q: i for i, q in enumerate(live)}
     dim = len(live)
     gamma = []
@@ -210,22 +211,21 @@ def extract_counting(query: CountingQuery) -> LinearRepresentation:
             for b in (0, 1):
                 t = a.transitions[q][(b << ci) | (d << pi)]
                 if t in index:
-                    mat[index[t]][index[q]] += 1
+                    mat[index[q]][index[t]] += 1
         gamma.append(tuple(tuple(row) for row in mat))
-    v = tuple(1 if q in a.accepting else 0 for q in live)
-    w = [1 if q == a.initial else 0 for q in live]
-    limit = 2 * dim + 8
-    for _ in range(limit):
-        nxt = [sum(gamma[0][i][j] * w[j] for j in range(dim))
-               for i in range(dim)]
-        if nxt == w:
+    v = [1 if q == a.initial else 0 for q in live]
+    w = tuple(1 if q in a.accepting else 0 for q in live)
+    zero_rows = [_sparse(row) for row in gamma[0]]
+    for _ in range(2 * dim + 8):
+        nxt = _mat_row(v, zero_rows)
+        if nxt == v:
             break
-        w = nxt
+        v = nxt
     else:
         raise NoncountableError(
             f"infinitely many {query.counted!r} for some {query.parameter!r}: "
-            "the gamma(0) limit of w does not settle")
-    return LinearRepresentation(v, tuple(gamma), tuple(w), msd_first=False)
+            "the gamma(0) limit of v does not settle")
+    return LinearRepresentation(tuple(v), tuple(gamma), w)
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +240,11 @@ def scale(rep: LinearRepresentation, factor) -> LinearRepresentation:
 
 def subtract(a: LinearRepresentation,
              b: LinearRepresentation) -> LinearRepresentation:
-    """Direct sum with the second output vector negated; computes a - b."""
+    """Direct sum with the second output vector negated; computes a - b in
+    the digit order of ``a``, reversing ``b`` exactly if it reads the other
+    way."""
     if a.msd_first != b.msd_first:
-        raise ValueError("operands must share a digit-order convention")
+        b = reverse_rep(b)
     pad_a, pad_b = (0,) * a.dim, (0,) * b.dim
     gamma = tuple(tuple(row + pad_b for row in a.gamma[d])
                   + tuple(pad_a + row for row in b.gamma[d]) for d in (0, 1))
@@ -322,12 +324,10 @@ def minimize_rep(rep: LinearRepresentation) -> LinearRepresentation:
 def equal_reps(a: LinearRepresentation, b: LinearRepresentation) -> bool:
     """Equality as digit-word series (hence as integer functions).
 
-    Mixed conventions are aligned by exact reversal first.  The difference
-    is then the zero series iff every vector v.gamma(word) is orthogonal
-    to its w, that is iff each row of a basis of their span is.
+    The difference, its orders aligned by ``subtract``, is the zero series
+    iff every vector v.gamma(word) is orthogonal to its w, that is iff
+    each row of a basis of their span is.
     """
-    if a.msd_first != b.msd_first:
-        b = reverse_rep(b)
     diff = subtract(a, b)
     return not any(sum(x * y for x, y in zip(vec, diff.w))
                    for _, vec in _span(diff))

@@ -198,8 +198,8 @@ def test_criterion_8_algebra_suite(extracted_reps):
                      and a.accepting == b.accepting)
         assert same == identical, trial
     for rep in extracted_reps.values():
-        image = tuple(sum(rep.gamma[0][i][j] * rep.w[j]
-                          for j in range(rep.dim)) for i in range(rep.dim))
-        assert image == rep.w
+        image = tuple(sum(rep.v[i] * rep.gamma[0][i][j]
+                          for i in range(rep.dim)) for j in range(rep.dim))
+        assert image == rep.v
     report("criterion 8 (500 randomized machines; stabilization fixed "
            "points): PASS")

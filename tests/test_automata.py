@@ -238,8 +238,7 @@ def test_rename_swapping_tracks():
     lambda: au.product(au.comparison("x", "y", "="),
                        au.comparison("x", "y", "<"), "and", state_cap=1),
     lambda: au.project(au.comparison("y", "x", "<"), "y", state_cap=1),
-    lambda: au.run_reversed(au.comparison("x", "y", "<"), state_cap=1),
-], ids=["product", "project", "run_reversed"])
+], ids=["product", "project"])
 def test_state_cap_enforced(construct):
     with pytest.raises(au.StateLimitError):
         construct()
@@ -281,16 +280,6 @@ def test_export_dot_shapes():
     assert dot.startswith("digraph {")
     assert "doublecircle" in dot
     assert dot.count("->") == 2  # init arrow plus single self-loop edge
-
-
-def test_export_msd_reverses_language():
-    eq = au.comparison("x", "y", "=")
-    rev = au.run_reversed(eq)
-    # Equality encodings are palindromic-closed, so the reversal is equivalent.
-    assert au.equivalent(rev, eq)
-    lt_rev = au.run_reversed(au.comparison("x", "y", "<"))
-    lt_rev_rev = au.run_reversed(lt_rev)
-    assert au.equivalent(lt_rev_rev, au.comparison("x", "y", "<"))
 
 
 def test_compact_text_deterministic():
@@ -398,7 +387,6 @@ def test_operations_return_canonical_machines():
             _assert_canonical(au.project(a, track))
         _assert_canonical(au.complement(a))
         _assert_canonical(zero_close(a))
-        _assert_canonical(au.run_reversed(a))
 
 
 def test_projection_respects_membership_randomized():

@@ -5,7 +5,7 @@ import importlib.resources
 import pytest
 
 from tmprover import automata as au
-from tmprover import cli, core, linrep
+from tmprover import cli, core, linrep, logic
 
 FIXTURES = importlib.resources.files("tmprover") / "fixtures"
 
@@ -409,7 +409,7 @@ def test_count_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("pattern", cli.PATTERN_NAMES)
 def test_export_wellformed(capsys, pattern):
-    code = run_cli("export", pattern, "--digit-order", "msd")
+    code = run_cli("export", pattern)
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("digraph {")
@@ -420,17 +420,6 @@ def test_export_wellformed(capsys, pattern):
 def test_export_state_cap_is_usage_error(capsys):
     assert run_cli("--state-cap", 5, "export", "abpat") == 2
     assert "error:" in capsys.readouterr().err
-
-
-def test_export_lsd_and_msd_to_files(tmp_path, capsys):
-    lsd, msd = tmp_path / "a.dot", tmp_path / "b.dot"
-    assert run_cli("--out", lsd, "export", "abpat", "--digit-order", "lsd") \
-        == 0
-    assert run_cli("--out", msd, "export", "abpat", "--digit-order", "msd") \
-        == 0
-    capsys.readouterr()
-    assert lsd.read_text().startswith("digraph {")
-    assert lsd.read_text() != msd.read_text()
 
 
 def test_selftest_passes(capsys):
@@ -509,6 +498,53 @@ def test_selftest_decides_the_rank1_identity_exactly(capsys, monkeypatch):
     assert code == 1
     assert "selftest.counting: FAIL" in out
     assert "  - counting identity defect is not -2[n=0] of rank 1" in out
+
+
+def test_selftest_sequence_checks_one_term_inequality(capsys, monkeypatch):
+    """A compiler that reads T[x]!=c as T[x]=c fails the sequence suite."""
+    atom = logic.Compiler._atom
+
+    def negation_dropped(self, f, defs):
+        if isinstance(f, logic.SeqCompare):
+            f = logic.SeqCompare(f.left, "=", f.right)
+        return atom(self, f, defs)
+
+    monkeypatch.setattr(logic.Compiler, "_atom", negation_dropped)
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.sequence: FAIL" in out
+    assert "  - T[k]!=1 disagrees with bit parity" in out
+
+
+def test_selftest_algebra_checks_free_conjuncts(capsys, monkeypatch):
+    """An elimination that keeps only its first conjunct fails the algebra
+    suite on Ex (x<y & z=1)."""
+    eliminate = logic.Compiler._eliminate
+    monkeypatch.setattr(logic.Compiler, "_eliminate",
+                        lambda self, var, ms: eliminate(self, var, ms)[:1])
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.algebra: FAIL" in out
+    assert "  - Ex (x<y & z=1) is not y>=1 & z=1" in out
+
+
+def test_selftest_counting_refutes_a_false_identity(capsys, monkeypatch):
+    """An equality test that checks only the first span row calls mabba
+    equal to twice A060973, and fails the counting suite."""
+
+    def first_row_only(a, b):
+        diff = linrep.subtract(a, b)
+        return not any(sum(x * y for x, y in zip(vec, diff.w))
+                       for _, vec in linrep._span(diff)[:1])
+
+    monkeypatch.setattr(linrep, "equal_reps", first_row_only)
+    code = run_cli("selftest")
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "selftest.counting: FAIL" in out
+    assert "  - mabba equals twice A060973" in out
 
 
 def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):

@@ -44,8 +44,7 @@ COMMANDS = st.one_of(
               st.just("--expected"), st.sampled_from([THM1_EXPECTED, DIR])),
     st.tuples(st.just("classify"), NUMBERS, NUMBERS),
     st.tuples(st.just("count"), NUMBERS),
-    st.tuples(st.just("export"), st.sampled_from(cli.PATTERN_NAMES + ("x",)),
-              st.just("--digit-order"), st.sampled_from(["msd", "lsd", "x"])),
+    st.tuples(st.just("export"), st.sampled_from(cli.PATTERN_NAMES + ("x",))),
     st.tuples(st.just("selftest")))
 
 

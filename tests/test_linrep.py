@@ -137,13 +137,13 @@ def test_counting_rep_spot_values(extracted):
 
 
 def test_stabilization_certificate(extracted):
-    # The gamma(0) limit absorbed into w must be a genuine fixed point.
+    # The gamma(0) limit absorbed into v must be a genuine fixed point.
     for rep in extracted.values():
         dim = rep.dim
-        image = tuple(sum(rep.gamma[0][i][j] * rep.w[j] for j in range(dim))
-                      for i in range(dim))
-        assert image == rep.w
-        assert not rep.msd_first
+        image = tuple(sum(rep.v[i] * rep.gamma[0][i][j] for i in range(dim))
+                      for j in range(dim))
+        assert image == rep.v
+        assert rep.msd_first
 
 
 def test_extraction_of_empty_automaton():
@@ -196,10 +196,14 @@ def test_subtract_and_scale():
         assert evaluate(diff, n) == evaluate(r2, n)
 
 
-def test_subtract_requires_same_convention():
-    with pytest.raises(ValueError):
-        subtract(from_recurrence_a006165(),
-                 reverse_rep(from_recurrence_a060973()))
+def test_subtract_aligns_digit_orders():
+    # The second operand is reversed into the first one's digit order.
+    r2, r4 = from_recurrence_a006165(), from_recurrence_a060973()
+    for a, b in ((r2, reverse_rep(r4)), (reverse_rep(r2), r4)):
+        diff = subtract(a, b)
+        assert diff.msd_first == a.msd_first
+        for n in range(64):
+            assert evaluate(diff, n) == evaluate(r2, n) - evaluate(r4, n), n
 
 
 def test_reverse_rep_reverses_words():
@@ -283,15 +287,14 @@ def test_rank_zero_identity(extracted):
     assert diff.dim == 0
 
 
-def test_counting_reps_keep_the_lsd_convention(extracted):
-    # Automata read MSD first, yet a counting representation reads LSD
-    # first: callers subtract a reversed MSD fixture from it, and subtract
-    # refuses operands of mixed orders.
+def test_counting_reps_read_msd_first(extracted):
+    # Counting representations read MSD first, like the automata and the
+    # shipped fixtures, so a fixture subtracts from them as it is.
     report = logic.run_script(COUNT_SCRIPT)
     for name, rep in extracted.items():
-        assert rep.msd_first is False
+        assert rep.msd_first is True
         assert report.result(name).rep == rep
-    r2 = reverse_rep(scale(from_recurrence_a006165(), 2))
+    r2 = scale(from_recurrence_a006165(), 2)
     assert minimize_rep(subtract(extracted["mab"], r2)).dim == 1
 
 
