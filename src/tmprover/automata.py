@@ -12,15 +12,22 @@ track ``i`` (tracks are kept sorted by name).  Given canonical machines
 (deterministic, complete, minimal, zero-closed, BFS-numbered), every public
 operation returns one, so equal languages over equal tracks yield identical
 automata and no caller canonicalizes again: ``complement`` just flips the
-accepting set, and a ``rename_tracks`` that only permutes tracks renumbers
-BFS.  ``product`` reads the sorted union of its operands' tracks, and a
-name that occurs twice reads one digit on every track that has it: a
-``rename_tracks`` that maps two tracks to one name merges them (and
-minimizes, since a merged machine need not be minimal), and the base
-machines accept a repeated track name.
+accepting set, a ``rename_tracks`` that keeps the track order keeps the
+rows, and one that only permutes tracks renumbers BFS.  ``project``
+reaches the minimal machine by Brzozowski's double reversal, and every
+other construction quotients its own breadth-first walk by Moore
+refinement (``_quotient``).  ``product`` reads the sorted union of its
+operands' tracks, and a name that occurs twice reads one digit on every
+track that has it: a ``rename_tracks`` that maps two tracks to one name
+merges them (and quotients, since a merged machine need not be minimal),
+and the base machines accept a repeated track name.
 """
 
 from __future__ import annotations
+
+from operator import or_
+
+from tmprover.core import InternalError
 
 DEFAULT_STATE_CAP = 1 << 20
 
@@ -99,13 +106,14 @@ def _explore(tracks, start, successors, accept, state_cap=float("inf")):
     return MultiTrackAutomaton(tracks, trans, 0, accepting)
 
 
-def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
-    """Canonical minimal DFA via Moore partition refinement.
+def _quotient(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """Moore partition refinement of a machine numbered breadth first from
+    state 0 with every state reachable, as ``_explore`` returns it.
 
-    Refinement runs over every state, reachable or not: unreachable states
-    cannot change the classes of reachable ones, and the final breadth-first
-    renumbering from the initial class keeps only the reachable classes.
-    Equal languages over equal tracks therefore give identical machines.
+    Classes are numbered in the order of their first state.  States of one
+    class have equal class rows, so on such an input that order is the
+    breadth-first order of the quotient, and the result is canonical with
+    no second walk.
     """
     n = a.num_states
     trans = a.transitions
@@ -122,14 +130,20 @@ def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
         n_blocks = len(sig_ids)
         if stable:
             break
-    rep_trans = [None] * n_blocks
-    for q in range(n):
-        b = block[q]
-        if rep_trans[b] is None:
-            rep_trans[b] = tuple(block[t] for t in trans[q])
-    accepting = {block[q] for q in a.accepting}
-    return _explore(a.tracks, block[a.initial], rep_trans.__getitem__,
-                    accepting.__contains__)
+    rows = []
+    for q, b in enumerate(block):
+        if b == len(rows):  # q is the first state of its class
+            rows.append([block[t] for t in trans[q]])
+    return MultiTrackAutomaton(a.tracks, rows, 0,
+                               {block[q] for q in a.accepting})
+
+
+def minimize(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
+    """Canonical minimal DFA: the quotient of the machine's breadth-first
+    walk, which drops unreachable states.  Equal languages over equal
+    tracks therefore give identical machines."""
+    return _quotient(_explore(a.tracks, a.initial, a.transitions.__getitem__,
+                              a.accepting.__contains__))
 
 
 def is_zero_closed(a: MultiTrackAutomaton) -> bool:
@@ -178,7 +192,7 @@ def product(a: MultiTrackAutomaton, b: MultiTrackAutomaton,
     schema = tuple(sorted(set(a.tracks) | set(b.tracks)))
     rows_a = _reread(a, a.tracks, schema)
     rows_b = _reread(b, b.tracks, schema)
-    return minimize(_explore(
+    return _quotient(_explore(
         schema, (a.initial, b.initial),
         lambda key: zip(rows_a[key[0]], rows_b[key[1]]),
         lambda key: combine(key[0] in a.accepting, key[1] in b.accepting),
@@ -191,8 +205,31 @@ def complement(a: MultiTrackAutomaton) -> MultiTrackAutomaton:
     result = MultiTrackAutomaton(
         a.tracks, a.transitions, a.initial,
         frozenset(range(a.num_states)) - a.accepting)
-    assert is_zero_closed(result)
+    if not is_zero_closed(result):
+        raise InternalError("complement of a machine that is not zero-closed")
     return result
+
+
+def _back(rows, mask):
+    """Successors in the subset construction of the reversed machine
+    ``rows``, a set of its states being an int bitmask: on symbol ``s`` a
+    set goes to the states with an edge into it on a symbol ``sym`` with
+    ``sym & mask == s``.  A ``mask`` below the top bits folds the symbols
+    of erased top tracks onto those of the others."""
+    into = [[0] * (mask + 1) for _ in rows]
+    for p, row in enumerate(rows):
+        for sym, q in enumerate(row):
+            into[q][sym & mask] |= 1 << p
+
+    def successors(subset):
+        out = [0] * (mask + 1)
+        while subset:
+            low = subset & -subset
+            out = list(map(or_, out, into[low.bit_length() - 1]))
+            subset ^= low
+        return out
+
+    return successors
 
 
 def project(a: MultiTrackAutomaton, track: str,
@@ -200,47 +237,56 @@ def project(a: MultiTrackAutomaton, track: str,
     """Existential quantification of one track.
 
     The track's digit component is erased (yielding a nondeterministic
-    machine), the initial set is closed forward along the symbols whose
-    remaining digits are all zero (the witness may need more digits than
-    the other tracks: its leading ones), and the subset construction, the
-    empty set acting as the sink, yields the canonical minimal result.  More
-    than ``state_cap`` subsets raise StateLimitError.
+    machine), and its initial set is closed forward along the symbols
+    whose remaining digits are all zero (the witness may need more digits
+    than the other tracks: its leading ones).  Brzozowski's double
+    reversal then gives the canonical minimal machine: a subset
+    construction of the reversed machine from its accepting set, whose
+    subsets that meet the initial set accept, and a subset construction
+    of the reverse of that, whose breadth-first numbering is already
+    canonical.  Either construction raises StateLimitError past
+    ``state_cap`` states.
     """
     pos = a.track_index(track)
     rest = a.tracks[:pos] + a.tracks[pos + 1:]
     # With the track on the top bit, symbol s of the result reads the
     # track's digit 0 as s and its digit 1 as s | half.
     half = 1 << len(rest)
-    nfa_trans = [list(zip(row[:half], row[half:]))
-                 for row in _reread(a, a.tracks, rest + (track,))]
-    initial = {a.initial}
+    rows = _reread(a, a.tracks, rest + (track,))
+    initial = 1 << a.initial
     stack = [a.initial]
     while stack:
-        for t in nfa_trans[stack.pop()][0]:
-            if t not in initial:
-                initial.add(t)
+        row = rows[stack.pop()]
+        for t in (row[0], row[half]):
+            if not initial >> t & 1:
+                initial |= 1 << t
                 stack.append(t)
-
-    def successors(cur):
-        return [frozenset(t for q in cur for t in nfa_trans[q][sym])
-                for sym in range(half)]
-
-    result = minimize(_explore(rest, frozenset(initial), successors,
-                               lambda cur: not a.accepting.isdisjoint(cur),
-                               state_cap))
-    assert is_zero_closed(result)
+    reverse = _explore(rest, sum(1 << q for q in a.accepting),
+                       _back(rows, half - 1), initial.__and__, state_cap)
+    # A set of the second construction accepts when it holds state 0, the
+    # initial state of the first.
+    result = _explore(rest, sum(1 << q for q in reverse.accepting),
+                      _back(reverse.transitions, half - 1), (1).__and__,
+                      state_cap)
+    if not is_zero_closed(result):
+        raise InternalError(f"projection of {track!r} is not zero-closed")
     return result
 
 
 def rename_tracks(a: MultiTrackAutomaton, mapping: dict) -> MultiTrackAutomaton:
     """Rename tracks; tracks renamed alike merge into one, which reads the
-    same digit on each.  Permuted symbols keep a machine minimal, so it is
-    only renumbered breadth first; a merge may not, so it is minimized."""
+    same digit on each.  A rename that keeps the track order keeps every
+    symbol, so the rows stay as they are; permuted symbols keep a machine
+    minimal, so it is only renumbered breadth first; a merge may not, so
+    it is quotiented."""
     names = [mapping.get(t, t) for t in a.tracks]
     schema = tuple(sorted(set(names)))
+    if tuple(names) == schema:
+        return MultiTrackAutomaton(schema, a.transitions, a.initial,
+                                   a.accepting)
     walked = _explore(schema, a.initial, _reread(a, names, schema).__getitem__,
                       a.accepting.__contains__)
-    return minimize(walked) if len(schema) < len(names) else walked
+    return _quotient(walked) if len(schema) < len(names) else walked
 
 
 def is_empty(a: MultiTrackAutomaton) -> bool:
@@ -275,7 +321,7 @@ def accepts(a: MultiTrackAutomaton, values) -> bool:
 
 def _build(tracks: dict, initial, accepting, step):
     """Small-machine helper: the machine reachable from ``initial`` by
-    ``step(state, digits_by_role) -> state``, minimized.
+    ``step(state, digits_by_role) -> state``, quotiented to minimal.
 
     ``tracks`` maps role name -> track name; the resulting machine has its
     tracks sorted by name as required; roles on the same track read its
@@ -285,9 +331,9 @@ def _build(tracks: dict, initial, accepting, step):
     positions = {role: names.index(track) for role, track in tracks.items()}
     digits = [{role: sym >> pos & 1 for role, pos in positions.items()}
               for sym in range(1 << len(names))]
-    return minimize(_explore(names, initial,
-                             lambda q: [step(q, d) for d in digits],
-                             accepting.__contains__, DEFAULT_STATE_CAP))
+    return _quotient(_explore(names, initial,
+                              lambda q: [step(q, d) for d in digits],
+                              accepting.__contains__, DEFAULT_STATE_CAP))
 
 
 _CMP_ACCEPT = {

@@ -16,14 +16,17 @@ Each command computes its whole report and returns it to ``main``, which
 writes the ``--out`` file first and then stdout and stderr, so after any
 error stdout is empty.  Exit codes: 0 success / all checks pass, 1 check
 failure or verdict mismatch, 2 usage, script or resource error (commands
-raise; ``main`` prints ``error: ...`` and returns 2).  Machine-readable
-output is line oriented ``key=value``, sorted by key, and never contains
-timings, so identical inputs produce byte-identical output.
+raise; ``main`` prints ``error: ...`` and returns 2).  A failed internal
+consistency check is a failed check too: ``main`` prints ``internal
+error: ...`` and returns 1.  Machine-readable output is line oriented
+``key=value``, sorted by key, and never contains timings, so identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib.resources
 import sys
 from collections import Counter
@@ -355,6 +358,7 @@ def cmd_selftest(args):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process serves every call of ``main``
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tmprover",
@@ -413,6 +417,9 @@ def main(argv=None) -> int:
             core.ResourceLimitError, au.StateLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except core.InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
     for line in lines:
         print(line)
     for line in errors:

@@ -38,6 +38,12 @@ class ResourceLimitError(Exception):
     """A configured size cap was exceeded."""
 
 
+class InternalError(Exception):
+    """An internal consistency check failed: a fault of the program, not
+    of its input.  The checks raise it explicitly, so they hold under
+    ``python -O`` too."""
+
+
 def tm_bit(k: int) -> int:
     """k-th symbol of the Thue-Morse word: parity of popcount(k)."""
     if k < 0:
@@ -251,6 +257,24 @@ def a060973(n: int) -> int:
     return a060973(m + 1) + a060973(m)
 
 
+def _one_branch(name: str, n: int, values) -> int:
+    """The value of the one closed-form branch that applies to ``n``; none,
+    or two that disagree, is a fault of the closed form."""
+    values = list(values)
+    if len(set(values)) != 1:
+        raise InternalError(
+            f"{name}: branch selection failed for n={n}: {values}")
+    return values[0]
+
+
+def _f_branches(n: int):
+    for k in range(1, n.bit_length() + 2):
+        if 3 * (1 << k) < 4 * n and n <= (1 << k) + 1:
+            yield 1 << k
+        if (1 << k) + 1 < n and 2 * n <= 3 * (1 << k):
+            yield 2 * n - (1 << k) - 2
+
+
 def f_closed(n: int) -> int:
     """Closed form for the alternating-class factor count, n >= 2.
 
@@ -260,15 +284,15 @@ def f_closed(n: int) -> int:
     """
     if n < 2:
         raise ValueError("f_closed is defined for n >= 2")
-    candidates = []
+    return _one_branch("f_closed", n, _f_branches(n))
+
+
+def _g_branches(n: int):
     for k in range(1, n.bit_length() + 2):
-        if 3 * (1 << k) < 4 * n and n <= (1 << k) + 1:
-            candidates.append(1 << k)
-        if (1 << k) + 1 < n and 2 * n <= 3 * (1 << k):
-            candidates.append(2 * n - (1 << k) - 2)
-    if len(set(candidates)) != 1:
-        raise AssertionError(f"branch selection failed for n={n}: {candidates}")
-    return candidates[0]
+        if (1 << k) + 1 < n and 2 * n <= 3 * (1 << k) + 2:
+            yield 1 << (k - 1)
+        if 3 * (1 << k) + 4 < 4 * n and n <= (1 << k) + 1:
+            yield n - (1 << (k - 1)) - 1
 
 
 def g_closed(n: int) -> int:
@@ -280,12 +304,4 @@ def g_closed(n: int) -> int:
     """
     if n < 3:
         raise ValueError("g_closed is defined for n >= 3")
-    candidates = []
-    for k in range(1, n.bit_length() + 2):
-        if (1 << k) + 1 < n and 2 * n <= 3 * (1 << k) + 2:
-            candidates.append(1 << (k - 1))
-        if 3 * (1 << k) + 4 < 4 * n and n <= (1 << k) + 1:
-            candidates.append(n - (1 << (k - 1)) - 1)
-    if len(set(candidates)) != 1:
-        raise AssertionError(f"branch selection failed for n={n}: {candidates}")
-    return candidates[0]
+    return _one_branch("g_closed", n, _g_branches(n))

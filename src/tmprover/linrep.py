@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from tmprover import automata as au
+from tmprover import core
 
 CHUNK = 8  # digits per table entry
 
@@ -307,7 +308,7 @@ def _forward_reduce(rep: LinearRepresentation) -> LinearRepresentation:
         # Every other basis row is zero at a row's pivot, so a vector of
         # the span has coordinate target[p] / vec[p] along the row (p, vec).
         if any(_reduce_row(echelon, _primitive(target))):
-            raise AssertionError("closure failure: vector outside span")
+            raise core.InternalError("closure failure: vector outside span")
         return tuple(Fraction(target[p], vec[p]) for p, vec in echelon)
 
     gamma = tuple(tuple(coords(_mat_row(vec, rep.rows[d]))

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_automata as ref
 from random_machines import empty, random_machine, zero_close
 from tmprover import automata as au
+from tmprover import cli, logic
 from tmprover.core import tm_bit
 
 
@@ -244,6 +246,14 @@ def test_state_cap_enforced(construct):
         construct()
 
 
+def test_project_caps_each_reversal_not_the_forward_subsets():
+    # The forward subset construction passes 5000 subsets on this machine;
+    # each of the two constructions of the double reversal stays under 200.
+    m = random_machine(random.Random(0), ("x", "y", "z"), max_states=8)
+    assert m.num_states == 64
+    assert au.project(m, "y", state_cap=200).num_states == 11
+
+
 def test_accepts_arity_checked():
     with pytest.raises(au.TrackMismatchError):
         au.accepts(au.comparison("x", "y", "<"), [1])
@@ -397,3 +407,45 @@ def test_projection_respects_membership_randomized():
         for x in range(16):
             direct = any(au.accepts(a, [x, y]) for y in range(64))
             assert au.accepts(proj, [x]) == direct
+
+
+def test_reference_route_agrees_on_random_machines():
+    rng = random.Random(3135)
+    names = ("w", "x", "y", "z")
+    for _ in range(40):
+        tracks = names[:rng.randint(1, 4)]
+        a = random_machine(rng, tracks, max_states=4)
+        for track in tracks:
+            assert au.to_compact_text(au.project(a, track)) == \
+                au.to_compact_text(ref.project(a, track))
+        b = random_machine(rng, names[rng.randrange(4):], max_states=3)
+        for op in ("and", "or", "xor", "iff", "implies"):
+            assert au.to_compact_text(au.product(a, b, op)) == \
+                au.to_compact_text(ref.product(a, b, op))
+        # Not numbered breadth first, its initial state anywhere, and
+        # possibly with unreachable states.
+        n = rng.randint(1, 8)
+        raw = au.MultiTrackAutomaton(
+            tracks, [[rng.randrange(n) for _ in range(1 << len(tracks))]
+                     for _ in range(n)],
+            rng.randrange(n), {q for q in range(n) if rng.random() < 0.5})
+        assert au.to_compact_text(au.minimize(raw)) == \
+            au.to_compact_text(ref.minimize(raw))
+
+
+def test_reference_route_agrees_on_the_fixture_operations(monkeypatch):
+    made = []
+    for name in ("product", "project"):
+        def recorded(*args, _name=name, _original=getattr(au, name)):
+            result = _original(*args)
+            made.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(au, name, recorded)
+    for script in ("paper_thm1.wal", "paper_thm2.wal", "paper_count.wal"):
+        logic.run_script(cli.fixture_text(script))
+    assert {name for name, _, _ in made} == {"product", "project"}
+    for name, args, result in made:
+        want = (ref.project(*args[:2]) if name == "project"
+                else ref.product(*args[:3]))
+        assert au.to_compact_text(result) == au.to_compact_text(want)

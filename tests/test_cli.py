@@ -1,8 +1,14 @@
 """Tests for the command-line front end."""
 
 import importlib.resources
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import tmprover
 
 from tmprover import automata as au
 from tmprover import cli, core, linrep, logic
@@ -73,6 +79,62 @@ def test_prove_script_error_exit_code(tmp_path, capsys):
     expected.write_text("q=TRUE\n")
     assert run_cli("prove", str(script), "--expected", str(expected)) == 2
     capsys.readouterr()
+
+
+def test_prove_state_cap_is_one_error_line(capsys, thm1_script):
+    code = run_cli("--state-cap", 20, "prove", thm1_script,
+                   "--expected", str(FIXTURES / "paper_thm1.expected"))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "exceeds cap 20" in lines[0]
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("site, names", [
+    ("complement", "complement of a machine"),
+    ("project", "projection of 'x'"),
+    ("f_closed", "f_closed: branch selection failed for n=2"),
+    ("g_closed", "g_closed: branch selection failed for n=3"),
+])
+def test_internal_check_exits_1_with_one_line(tmp_path, capsys, monkeypatch,
+                                              site, names):
+    """Each internal check, forced to fail, ends the run with exit 1 and
+    one ``internal error:`` line naming it, stdout empty."""
+    script, expected = tmp_path / "site.wal", tmp_path / "site.expected"
+    expected.write_text("")
+    if site in ("complement", "project"):
+        monkeypatch.setattr(au, "is_zero_closed", lambda a: False)
+        script.write_text('def d "~(x<y)":\n' if site == "complement"
+                          else 'def d "Ex x<y":\n')
+        argv = ("prove", script, "--expected", expected)
+    else:
+        monkeypatch.setattr(core, f"_{site[0]}_branches", lambda n: ())
+        argv = ("--window", 256, "count", 4)
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: ")
+    assert names in lines[0]
+    assert "Traceback" not in captured.err
+
+
+def test_internal_checks_hold_under_optimize():
+    """``python -O`` drops asserts, not the internal checks."""
+    code = ("import sys; from tmprover import automata as au, cli; "
+            "au.is_zero_closed = lambda a: False; "
+            "sys.exit(cli.main(['export', 'abpat']))")
+    src = str(Path(tmprover.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_prove_machine_output_deterministic(tmp_path, thm1_script, capsys):

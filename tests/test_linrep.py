@@ -15,7 +15,7 @@ from dense_rep import dense_value, digits_of, times
 from formula_strategies import QUANT_BOUND, formulas
 from random_machines import empty, zero_close
 from tmprover import automata as au
-from tmprover import core, logic
+from tmprover import core, linrep, logic
 from tmprover.logic import And, Compare, Const, Or, Sum, Var, compile_formula
 from tmprover.linrep import (
     CHUNK, LinearRepresentation, NoncountableError, counting_query,
@@ -549,3 +549,12 @@ def test_counting_query_rejects_machines_not_zero_closed():
     assert not au.is_zero_closed(odd)
     with pytest.raises(ValueError, match="zero-closed"):
         counting_query(odd, "i", "n")
+
+
+def test_span_closure_check_raises_internal_error(monkeypatch):
+    """With a span that misses a vector, the forward reduction stops with
+    ``InternalError``, an explicit check that ``python -O`` keeps."""
+    span = linrep._span
+    monkeypatch.setattr(linrep, "_span", lambda rep: span(rep)[:-1])
+    with pytest.raises(core.InternalError, match="closure failure"):
+        minimize_rep(reference_count_abba())
