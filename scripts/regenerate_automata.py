@@ -22,7 +22,7 @@ from tmprover import automata as au  # noqa: E402
 from tmprover import cli  # noqa: E402
 
 FIXTURES = pathlib.Path(cli.__file__).parent / "fixtures"
-PROOF_SCRIPTS = ("paper_thm1", "paper_thm2", "paper_count")
+PROOF_SCRIPTS = ("paper_thm1", "paper_thm2", "paper_count", "classics")
 # Snapshot name -> command line whose --out block it holds.
 OUT_BLOCKS = {
     **{name: ["prove", str(FIXTURES / f"{name}.wal"), "--expected",

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import importlib.resources
 import sys
 from collections import Counter
 
@@ -48,11 +47,6 @@ _PATTERN_TO_CLASS = {
     "abbapat": core.PatternClass.ABBA,
     "baabpat": core.PatternClass.BAAB,
 }
-
-
-def fixture_text(name: str) -> str:
-    return (importlib.resources.files("tmprover") / "fixtures" / name
-            ).read_text()
 
 
 def _block(pairs, ok: bool) -> str:
@@ -77,7 +71,7 @@ def _load_expectations(path: str) -> dict[str, str]:
 
 
 def _pattern_machines(state_cap: int) -> dict[str, object]:
-    report = logic.run_script(fixture_text("paper_thm1.wal"), state_cap)
+    report = logic.run_script(core.fixture_text("paper_thm1.wal"), state_cap)
     return {c.name: c.automaton for c in report.commands if c.kind == "def"}
 
 
@@ -90,7 +84,7 @@ def _automaton_route(machines, start: int, length: int):
 
 
 def _counting_reps(state_cap: int):
-    report = logic.run_script(fixture_text("paper_count.wal"), state_cap)
+    report = logic.run_script(core.fixture_text("paper_count.wal"), state_cap)
     return {name: report.result(name).rep for name in ("mab", "mabba")}
 
 
@@ -131,7 +125,7 @@ def cmd_prove(args):
 def cmd_classify(args):
     word = core.generate_prefix(args.window)
     entries = core.scan_occurrences(word, args.start, args.length)
-    oracle = core.classify_pattern(entries, args.length, args.min_occ)
+    oracle = core.classify_pattern(entries, args.length)
     first_a = next((p for p, lab in entries if lab == "A"), None)
     first_b = next((p for p, lab in entries if lab == "B"), None)
     lines = [f"factor t[{args.start}..{args.start + args.length - 1}] = "
@@ -174,11 +168,11 @@ def _show(routes) -> str:
     return ",".join(f"{k}={v}" for k, v in sorted(routes.items()))
 
 
-def _count_rows(reps, n_max: int, window: int, min_occ: int):
+def _count_rows(reps, n_max: int, window: int):
     """For n = 1..n_max: the class counts of the length-n factors, then the
     f and g routes (brute force, linear representation, recurrence and,
     where defined, closed form), each a dict from route to value."""
-    lengths = core.classify_lengths(n_max, window, min_occ)
+    lengths = core.classify_lengths(n_max, window)
     for n, classes in enumerate(lengths, 1):
         counts = Counter(classes.values())
         f_routes = {"brute": counts[core.PatternClass.AB],
@@ -202,8 +196,7 @@ def cmd_count(args):
     if args.window < args.n_max:
         raise ValueError(f"--window {args.window} is shorter than the longest "
                          f"factor, n_max={args.n_max}")
-    rows = _count_rows(_counting_reps(args.state_cap), args.n_max,
-                       args.window, args.min_occ)
+    rows = _count_rows(_counting_reps(args.state_cap), args.n_max, args.window)
     pairs, errors = {}, []
     ok = True
     lines = [f"{'n':>4s} {'f(n)':>6s} {'g(n)':>6s}  routes"]
@@ -213,9 +206,10 @@ def cmd_count(args):
         short = counts[core.PatternClass.INSUFFICIENT]
         if flag and short:
             errors.append(f"row {n}: {short} factors occur, with their "
-                          f"complements, fewer than --min-occ {args.min_occ} "
-                          f"times in --window {args.window}; the brute-force "
-                          f"route counts none of them")
+                          f"complements, fewer than "
+                          f"{core.DEFAULT_MIN_OCCURRENCES} times in --window "
+                          f"{args.window}; the brute-force route counts none "
+                          f"of them")
         lines.append(f"{n:4d} {f_routes['brute']:6d} {g_routes['brute']:6d}"
                      f"  f[{_show(f_routes)}] g[{_show(g_routes)}]{flag}")
         for key, val in f_routes.items():
@@ -270,10 +264,10 @@ def _selftest_algebra(machines) -> list[str]:
     return failures
 
 
-def _selftest_classification(machines, window, min_occ) -> list[str]:
+def _selftest_classification(machines, window) -> list[str]:
     failures = []
     word = core.generate_prefix(window)
-    lengths = core.classify_lengths(SELFTEST_MAX_LENGTH, window, min_occ)
+    lengths = core.classify_lengths(SELFTEST_MAX_LENGTH, window)
     for n in range(1, SELFTEST_MAX_LENGTH + 1):
         # A pass that raised is finished: the first classification error
         # is the suite's last failure.
@@ -304,7 +298,7 @@ def _selftest_classification(machines, window, min_occ) -> list[str]:
 def _selftest_counting(state_cap) -> list[str]:
     failures = []
     reps = _counting_reps(state_cap)
-    rows = _count_rows(reps, 32, 1 << 14, core.DEFAULT_MIN_OCCURRENCES)
+    rows = _count_rows(reps, 32, 1 << 14)
     for n, (_, *f_and_g) in enumerate(rows, 1):
         for name, routes in zip("fg", f_and_g):
             if not _agree(routes):
@@ -342,8 +336,7 @@ def cmd_selftest(args):
     results = {
         "sequence": _selftest_sequence(),
         "algebra": _selftest_algebra(machines),
-        "classification": _selftest_classification(
-            machines, args.window, args.min_occ),
+        "classification": _selftest_classification(machines, args.window),
         "counting": _selftest_counting(args.state_cap),
     }
     lines = []
@@ -368,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="automaton construction size guard")
     parser.add_argument("--window", type=int, default=core.DEFAULT_WINDOW,
                         help="prefix length scanned by the brute-force oracle")
-    parser.add_argument("--min-occ", type=int,
-                        default=core.DEFAULT_MIN_OCCURRENCES,
-                        help="occurrences required before classifying")
     parser.add_argument("--out", help="write machine-readable output here "
                         "instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -402,8 +392,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.min_occ < 4:
-        parser.error("--min-occ must be at least 4")
     try:
         for flag, value in (("--window", args.window),
                             ("--state-cap", args.state_cap)):

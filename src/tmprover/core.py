@@ -10,6 +10,7 @@ factor-count cross-check.
 from __future__ import annotations
 
 import functools
+import importlib.resources
 from collections.abc import Iterator
 from enum import Enum
 from itertools import compress
@@ -18,6 +19,8 @@ from operator import itemgetter
 MAX_PREFIX_LENGTH = 1 << 26
 
 DEFAULT_WINDOW = 1 << 17
+# Labels observed before a factor is classified.  The four periodic
+# patterns already differ within 4 labels; 8 is two full ABBA periods.
 DEFAULT_MIN_OCCURRENCES = 8
 
 _COMPLEMENT = str.maketrans("01", "10")
@@ -28,9 +31,9 @@ _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 class ClassificationError(Exception):
     """Observed label word matches no admissible intertwining pattern.
 
-    Raised both for genuine ambiguity (possible only below 4 observations)
-    and for a no-match; the admissible patterns are exhaustive, so a
-    no-match is a hard failure, never coerced to a class silently.
+    With DEFAULT_MIN_OCCURRENCES labels no word fits two patterns, so this
+    is always a no-match; the admissible patterns are exhaustive, so it is
+    a hard failure, never coerced to a class silently.
     """
 
 
@@ -42,6 +45,12 @@ class InternalError(Exception):
     """An internal consistency check failed: a fault of the program, not
     of its input.  The checks raise it explicitly, so they hold under
     ``python -O`` too."""
+
+
+def fixture_text(name: str) -> str:
+    """Text of a file shipped in the package's ``fixtures`` directory."""
+    return (importlib.resources.files("tmprover") / "fixtures" / name
+            ).read_text()
 
 
 def tm_bit(k: int) -> int:
@@ -110,13 +119,10 @@ def scan_occurrences(word: str, start: int,
     return tuple(sorted(entries))
 
 
-def classify_labels(labels: str, factor_length: int,
-                    min_occurrences: int) -> PatternClass:
+def classify_labels(labels: str, factor_length: int) -> PatternClass:
     """Classify an observed label word against the six admissible patterns;
     a length-1 factor's labels are read at every position 0, 1, 2, ..."""
-    if min_occurrences < 4:
-        raise ValueError("min_occurrences must be at least 4")
-    if len(labels) < min_occurrences:
+    if len(labels) < DEFAULT_MIN_OCCURRENCES:
         return PatternClass.INSUFFICIENT
     if factor_length == 1:
         word = generate_prefix(len(labels))
@@ -140,15 +146,12 @@ def classify_labels(labels: str, factor_length: int,
     return PatternClass[matches[0]]
 
 
-def classify_pattern(entries, length: int,
-                     min_occurrences: int = DEFAULT_MIN_OCCURRENCES) -> PatternClass:
+def classify_pattern(entries, length: int) -> PatternClass:
     """Class of a length-``length`` factor from its ``scan_occurrences``."""
-    return classify_labels("".join(lab for _, lab in entries), length,
-                           min_occurrences)
+    return classify_labels("".join(lab for _, lab in entries), length)
 
 
 def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
-                     min_occurrences: int = DEFAULT_MIN_OCCURRENCES,
                      ) -> Iterator[dict[str, PatternClass]]:
     """Classes of every distinct factor in the window, length by length.
 
@@ -166,10 +169,10 @@ def classify_lengths(n_max: int, window: int = DEFAULT_WINDOW,
     word = generate_prefix(window)
     if n_max > window:
         raise ValueError("factor longer than window")
-    return _refine(word, n_max, min_occurrences)
+    return _refine(word, n_max)
 
 
-def _refine(word: str, n_max: int, min_occurrences: int):
+def _refine(word: str, n_max: int):
     """One refinement pass behind ``classify_lengths``.
 
     A group is [key, positions, labels, class]: the pair's 0-led member,
@@ -200,7 +203,7 @@ def _refine(word: str, n_max: int, min_occurrences: int):
         for g in groups:
             key, pos, labels, cls = g
             if cls is None:
-                cls = g[3] = classify_labels(labels, n, min_occurrences)
+                cls = g[3] = classify_labels(labels, n)
             if "A" in labels:
                 out[key] = cls
             if "B" in labels:

@@ -17,7 +17,6 @@ fraction-free, over primitive integer rows.
 
 from __future__ import annotations
 
-import importlib.resources
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,10 +36,11 @@ class LinearRepresentation:
     """Row vector, two square digit matrices, column vector.
 
     ``msd_first`` records which end of the digit expansion is fed first
-    when valuing an integer; by default the most significant, as automata
-    read.  Integral entries are held as ``int`` (equal, with equal hashes,
-    to the ``Fraction`` they replace); ``rows`` holds, per digit, each
-    matrix row's nonzero ``(column, coefficient)`` pairs.
+    when valuing an integer: the most significant, as automata read,
+    unless ``reverse_rep`` made the representation.  Integral entries are
+    held as ``int`` (equal, with equal hashes, to the ``Fraction`` they
+    replace); ``rows`` holds, per digit, each matrix row's nonzero
+    ``(column, coefficient)`` pairs.
     ``chunks`` is the chunk table, (first-chunk vectors, later-chunk rows),
     filled as words are valued; it takes no part in equality or ``repr``.
     """
@@ -77,11 +77,8 @@ class LinearRepresentation:
                 entry = (tuple(((i, 1),) for i in range(self.dim)) if kind
                          else self.v)
             else:
-                if self.msd_first:
-                    prefix, d = bits >> 1, bits & 1
-                else:
-                    prefix, d = bits & ~(1 << length - 1), bits >> length - 1
-                shorter = self._chunk(kind, prefix, length - 1)
+                shorter = self._chunk(kind, bits >> 1, length - 1)
+                d = bits & 1
                 if kind:
                     entry = tuple(_sparse(_mat_row(_dense(row, self.dim),
                                                    self.rows[d]))
@@ -124,17 +121,18 @@ def _mat_row(x, rows):
 
 def evaluate(rep: LinearRepresentation, n: int):
     """Value at the integer n: its canonical binary digits (none for 0),
-    fed per the representation's order, CHUNK-digit groups at a time."""
+    fed most significant first, CHUNK-digit groups at a time."""
     if n < 0:
         raise ValueError("representation arguments are nonnegative")
+    if not rep.msd_first:
+        return evaluate(reverse_rep(rep), n)
     chunks = []
     mask = (1 << CHUNK) - 1
     while n > mask:
         chunks.append((n & mask, CHUNK))
         n >>= CHUNK
     chunks.append((n, n.bit_length()))
-    if rep.msd_first:
-        chunks.reverse()
+    chunks.reverse()
     # The first chunk fed is read as a row vector, each later one as a matrix.
     x = rep._chunk(0, *chunks[0])
     for bits, length in chunks[1:]:
@@ -345,10 +343,9 @@ def load_representation(text: str) -> LinearRepresentation:
         if line:
             tokens.extend(line.split())
     if len(tokens) < 4 or tokens[0] != "order" or tokens[2] != "dim":
-        raise ValueError("expected 'order <msd|lsd>' then 'dim <n>'")
-    if tokens[1] not in ("msd", "lsd"):
-        raise ValueError(f"order must be 'msd' or 'lsd', got {tokens[1]!r}")
-    msd = tokens[1] == "msd"
+        raise ValueError("expected 'order msd' then 'dim <n>'")
+    if tokens[1] != "msd":
+        raise ValueError(f"order must be 'msd', got {tokens[1]!r}")
     dim = int(tokens[3])
     if dim < 0:
         raise ValueError(f"dim must be nonnegative, got {dim}")
@@ -368,13 +365,11 @@ def load_representation(text: str) -> LinearRepresentation:
         gamma.append(mat)
         pos += dim * dim
     w = tuple(numbers[pos:pos + dim])
-    return LinearRepresentation(v, tuple(gamma), w, msd_first=msd)
+    return LinearRepresentation(v, tuple(gamma), w)
 
 
 def _load_fixture(name: str) -> LinearRepresentation:
-    text = (importlib.resources.files("tmprover") / "fixtures" / name
-            ).read_text()
-    return load_representation(text)
+    return load_representation(core.fixture_text(name))
 
 
 def from_recurrence_a006165() -> LinearRepresentation:

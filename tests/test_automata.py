@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import reference_automata as ref
 from random_machines import empty, random_machine, zero_close
 from tmprover import automata as au
-from tmprover import cli, logic
+from tmprover import core, logic
 from tmprover.core import tm_bit
 
 
@@ -443,7 +443,7 @@ def test_reference_route_agrees_on_the_fixture_operations(monkeypatch):
 
         monkeypatch.setattr(au, name, recorded)
     for script in ("paper_thm1.wal", "paper_thm2.wal", "paper_count.wal"):
-        logic.run_script(cli.fixture_text(script))
+        logic.run_script(core.fixture_text(script))
     assert {name for name, _, _ in made} == {"product", "project"}
     for name, args, result in made:
         want = (ref.project(*args[:2]) if name == "project"

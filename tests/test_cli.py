@@ -169,7 +169,7 @@ def test_classify_single_symbol(capsys):
 
 
 def test_classify_insufficient_window(capsys):
-    code = run_cli("--window", 64, "--min-occ", 8, "classify", 0, 20)
+    code = run_cli("--window", 64, "classify", 0, 20)
     captured = capsys.readouterr()
     assert code == 1
     assert machine_section(captured.out)["oracle.class"] == "INSUFFICIENT"
@@ -227,25 +227,28 @@ def test_selftest_window_error_names_the_flag(capsys):
 
 
 def test_count_applies_min_occ(capsys):
-    # A length-3 factor and its complement occur about 1365 times in 4096
-    # positions, fewer than 2000: the oracle classifies none of them, so
-    # the brute-force route reads 0 and disagrees with the others.
-    # Each disagreeing row says why on stderr.
-    code = run_cli("--window", 4096, "--min-occ", 2000, "count", 3)
+    # In 16 positions a length-3 factor and its complement occur fewer
+    # than core.DEFAULT_MIN_OCCURRENCES (8) times: the oracle classifies
+    # none of them, so the brute-force route reads 0 and disagrees with
+    # the others.  Each disagreeing row says why on stderr.
+    code = run_cli("--window", 16, "count", 3)
     captured = capsys.readouterr()
     assert code == 1
     assert machine_section(captured.out)["row.3.f.brute"] == "0"
     assert captured.err.splitlines() == [
         f"row {n}: {k} factors occur, with their complements, fewer than "
-        f"--min-occ 2000 times in --window 4096; the brute-force route "
-        f"counts none of them" for n, k in ((2, 2), (3, 6))]
+        f"8 times in --window 16; the brute-force route counts none of them"
+        for n, k in ((2, 2), (3, 6))]
 
 
 def test_min_occ_below_four_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run_cli("--min-occ", 3, "selftest")
-    assert exc.value.code == 2
-    assert "--min-occ" in capsys.readouterr().err
+    """The evidence threshold is a constant of the oracle: ``--min-occ``
+    is an unknown flag, whatever its value."""
+    for value in (3, 8):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--min-occ", value, "selftest")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -614,13 +617,15 @@ def test_selftest_stops_classifying_at_the_first_error(capsys, monkeypatch):
     failed and checks no longer length: the pass ends there."""
     classify_labels = core.classify_labels
 
-    def failing_at_4(labels, factor_length, min_occurrences):
-        if factor_length == 4 and min_occurrences == 5:
+    # The counting suite's window is 2^14, so a label word longer than
+    # that comes from the classification suite's default window.
+    def failing_at_4(labels, factor_length):
+        if factor_length == 4 and len(labels) > 1 << 14:
             raise core.ClassificationError("injected")
-        return classify_labels(labels, factor_length, min_occurrences)
+        return classify_labels(labels, factor_length)
 
     monkeypatch.setattr(core, "classify_labels", failing_at_4)
-    code = run_cli("--min-occ", 5, "selftest")
+    code = run_cli("selftest")
     out = capsys.readouterr().out
     assert code == 1
     assert "selftest.classification: FAIL" in out

@@ -36,7 +36,6 @@ NUMBERS = st.sampled_from(["2", "3", "5", "2", "3", "0", "-1", "4097", "x"])
 WINDOWS = st.sampled_from(["16384", "16384", "64", "2", "0", "-1",
                            str((1 << 26) + 1), "x"])
 CAPS = st.sampled_from(["3000", "3000", "5", "0", "-1", "x"])
-OCCS = st.sampled_from(["8", "8", "2000", "4", "3", "0", "-1", "x"])
 OUTS = st.sampled_from([DIR, FILE, MISSING])
 
 COMMANDS = st.one_of(
@@ -53,8 +52,7 @@ def argvs(draw):
     """Global flags, each present or not (``--window`` always, so that no
     run scans the default window), then one command."""
     argv = ["--window", draw(WINDOWS)]
-    for flag, values in (("--state-cap", CAPS), ("--min-occ", OCCS),
-                         ("--out", OUTS)):
+    for flag, values in (("--state-cap", CAPS), ("--out", OUTS)):
         if draw(st.booleans()):
             argv += [flag, draw(values)]
     return argv + list(draw(COMMANDS))

@@ -128,19 +128,12 @@ def test_classify_anchor_factors():
 
 def test_classify_insufficient_window():
     occ = scan_occurrences(generate_prefix(8), 0, 4)
-    assert classify_pattern(occ, 4, min_occurrences=8) \
-        == PatternClass.INSUFFICIENT
-
-
-def test_classify_min_occurrences_validated():
-    occ = scan_occurrences(generate_prefix(64), 0, 2)
-    with pytest.raises(ValueError):
-        classify_pattern(occ, 2, min_occurrences=3)
+    assert classify_pattern(occ, 4) == PatternClass.INSUFFICIENT
 
 
 def test_classify_rejects_alien_labels():
     with pytest.raises(ClassificationError):
-        core.classify_labels("AABB" * 4, 3, 8)
+        core.classify_labels("AABB" * 4, 3)
 
 
 def test_length1_never_periodic():
@@ -164,47 +157,45 @@ def test_small_lengths_classify_everywhere(classes_to_20, n):
                        PatternClass.ABBA, PatternClass.BAAB)
 
 
-@given(st.integers(1, 24), st.sampled_from([16, 64, 1024, 4096]),
-       st.sampled_from([4, 8]))
+@given(st.integers(1, 24), st.sampled_from([16, 64, 1024, 4096]))
 @settings(max_examples=200, deadline=None)
-def test_sweep_matches_per_factor_scan(length, window, min_occ):
+def test_sweep_matches_per_factor_scan(length, window):
     """The refinement pass and the per-factor scan are two routes to the
     same class: at every n of the pass, every factor in the window gets
     the same one from both."""
     assume(length <= window)
     word = generate_prefix(window)
-    lengths = classify_lengths(length, window, min_occ)
+    lengths = classify_lengths(length, window)
     for n in range(1, length + 1):
         try:
             classes = next(lengths)
         except ClassificationError:
             assume(False)
-        assert classes == _scanned_classes(word, n, min_occ), n
+        assert classes == _scanned_classes(word, n), n
 
 
 @functools.lru_cache(maxsize=None)
-def _scanned_classes(word, n, min_occ):
+def _scanned_classes(word, n):
     """Class of every length-n factor of the word, one scan per factor;
     cached, since the drawn examples repeat a few hundred arguments."""
     firsts = {}
     for i in range(len(word) - n + 1):
         firsts.setdefault(word[i:i + n], i)
-    return {text: classify_pattern(scan_occurrences(word, i, n), n, min_occ)
+    return {text: classify_pattern(scan_occurrences(word, i, n), n)
             for text, i in firsts.items()}
 
 
-@pytest.mark.parametrize("min_occ", [4, 8])
-def test_pass_to_full_window_matches_scan(min_occ):
+def test_pass_to_full_window_matches_scan():
     """Windows 1..40: up to n = window, where the last n has one
     position; small windows leave factors with too few occurrences
     INSUFFICIENT."""
     insufficient = 0
     for window in range(1, 41):
         word = generate_prefix(window)
-        lengths = list(classify_lengths(window, window, min_occ))
+        lengths = list(classify_lengths(window, window))
         assert len(lengths) == window
         for n, classes in enumerate(lengths, 1):
-            assert classes == _scanned_classes(word, n, min_occ), (window, n)
+            assert classes == _scanned_classes(word, n), (window, n)
             insufficient += list(classes.values()).count(
                 PatternClass.INSUFFICIENT)
         assert lengths[-1] == {word: PatternClass.INSUFFICIENT}
@@ -226,7 +217,7 @@ def test_pass_stopped_early_leaves_fresh_pass_unchanged():
     head = [next(first) for _ in range(10)]
     fresh = list(classify_lengths(30, window=1024))
     assert head == fresh[:10]
-    assert fresh[10] == _scanned_classes(generate_prefix(1024), 11, 8)
+    assert fresh[10] == _scanned_classes(generate_prefix(1024), 11)
 
 
 def _counts_by_length(n_max, window):

@@ -107,10 +107,11 @@ def test_load_rejects_malformed():
 
 
 @pytest.mark.parametrize("text,message", [
-    ("order lsd\ndim -1\n", "dim must be nonnegative"),
+    ("order msd\ndim -1\n", "dim must be nonnegative"),
     ("order foo\ndim 1\n1\n1\n1\n1\n", "order must be"),
-    ("order lsd\ndim 1\n1/0\n1\n1\n1\n", "zero denominator"),
-], ids=["negative-dim", "unknown-order", "zero-denominator"])
+    ("order lsd\ndim 1\n1\n1\n1\n1\n", "order must be 'msd', got 'lsd'"),
+    ("order msd\ndim 1\n1/0\n1\n1\n1\n", "zero denominator"),
+], ids=["negative-dim", "unknown-order", "lsd-order", "zero-denominator"])
 def test_load_rejects_bad_values(text, message):
     with pytest.raises(ValueError, match=message):
         load_representation(text)
@@ -435,8 +436,7 @@ def test_fixture_dump_is_the_file_body(name):
     tokens = " ".join(line for line in text.splitlines()
                       if not line.startswith("#")).split()
     rep = load_representation(text)
-    assert tokens[:4] == ["order", "msd" if rep.msd_first else "lsd",
-                          "dim", str(rep.dim)]
+    assert tokens[:4] == ["order", "msd", "dim", str(rep.dim)]
     entries = [*rep.v, *(x for d in (0, 1) for row in rep.gamma[d]
                          for x in row), *rep.w]
     assert entries == [Fraction(t) for t in tokens[4:]]

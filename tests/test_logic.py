@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_logic as brute
+import reference_compiler
 from formula_strategies import QUANT_BOUND, atoms, def_chain_scripts, formulas
 from tmprover import automata as au
 from tmprover import logic
@@ -647,25 +648,34 @@ def test_no_table_outlives_its_call(op_calls):
         assert counts[0] == counts[1] and counts[0]["product"] > 0
 
 
-@pytest.mark.parametrize("name", ["paper_thm1.wal", "paper_thm2.wal",
-                                  "paper_count.wal"])
+WAL_FIXTURES = sorted(p.name for p in FIXTURES.iterdir()
+                      if p.name.endswith(".wal"))
+
+
+@pytest.mark.parametrize("name", WAL_FIXTURES)
 def test_shared_compiler_matches_one_compile_per_command(name):
+    """Three routes build the same bytes for every command of every
+    shipped script: the shared compiler of ``run_script``, a fresh
+    compiler per command, and the textbook compiler of the tests."""
     source = (FIXTURES / name).read_text()
     commands = parse_script(source)
     report = run_script(source)
-    assert len(report.commands) == len(commands)
+    reference = reference_compiler.run_script(source)
+    assert len(report.commands) == len(commands) == len(reference)
     env = {}
     for cmd, result in zip(commands, report.commands):
         machine = compile_formula(cmd.formula, env)
         assert au.to_compact_text(result.automaton) == \
-            au.to_compact_text(machine), cmd.name
+            au.to_compact_text(machine) == \
+            au.to_compact_text(reference[cmd.name]), cmd.name
         if cmd.kind == "def":
             env[cmd.name] = machine
 
 
 # Generated scripts: a chain of defs, each able to call the earlier ones,
 # checked command by command against direct evaluation, and the shared
-# compiler of ``run_script`` against a fresh compiler per command.
+# compiler of ``run_script`` against a fresh compiler per command and
+# against the textbook compiler.
 
 def _predicate(f, params, predicates):
     """The predicate a def of ``f`` defines, its arguments bound to
@@ -687,11 +697,13 @@ SCRIPT_STATE_CAP = 1 << 12
 def test_def_chain_scripts_match_direct_evaluation(script):
     commands = parse_script(script)
     report = run_script(script, SCRIPT_STATE_CAP)
+    reference = reference_compiler.run_script(script, SCRIPT_STATE_CAP)
     env, predicates = {}, {}
     for cmd, result in zip(commands, report.commands, strict=True):
         alone = Compiler(env, SCRIPT_STATE_CAP).compile(cmd.formula)
         assert au.to_compact_text(result.automaton) == \
-            au.to_compact_text(alone), cmd.name
+            au.to_compact_text(alone) == \
+            au.to_compact_text(reference[cmd.name]), cmd.name
         params = tuple(sorted(brute.free_vars(cmd.formula)))
         assert alone.tracks == params, cmd.name
         value = _predicate(cmd.formula, params, predicates)

@@ -30,7 +30,8 @@ def test_dot_snapshot_bit_exact(machines, name):
     assert regenerated == (SNAPSHOT_DIR / f"{name}.dot").read_text()
 
 
-@pytest.mark.parametrize("name", ("paper_thm1", "paper_thm2", "paper_count"))
+@pytest.mark.parametrize("name", ("paper_thm1", "paper_thm2", "paper_count",
+                                  "classics"))
 def test_prove_out_snapshot_bit_exact(tmp_path, capsys, name):
     out = tmp_path / f"{name}.out"
     code = cli.main(["--out", str(out), "prove", str(FIXTURES / f"{name}.wal"),
